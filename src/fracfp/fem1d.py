@@ -1,8 +1,9 @@
 """P1 Galerkin finite elements on a uniform interval mesh.
 
 Tridiagonal assembly of the mass matrix and the diffusion-advection matrix,
-the broken L2 norm used for error measurement, initial-data projections, and
-the tridiagonal solve that everything funnels through.
+the one 4-point Gauss load assembly, the broken L2 norm used for error
+measurement, initial-data projections, and the tridiagonal solve that
+everything funnels through.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ __all__ = [
     "uniform_mesh",
     "assemble_mass",
     "assemble_G",
+    "gauss_points",
     "l2_norm",
+    "load_from_values",
     "load_vector",
     "project_initial",
     "thomas_solve",
@@ -32,12 +35,7 @@ __all__ = [
 
 # 2-point and 4-point Gauss-Legendre rules on [-1, 1]
 _G2 = 1.0 / math.sqrt(3.0)
-_GL4_X = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_GL4_W = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
+_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 
 
 class BcMode(Enum):
@@ -200,20 +198,37 @@ def l2_norm(values: np.ndarray, mesh: SpatialMesh) -> float:
     return math.sqrt(mesh.h * acc / 3.0)
 
 
+def gauss_points(mesh: SpatialMesh) -> np.ndarray:
+    """(M_x, 4) array of the 4-point Gauss nodes of every element."""
+    xm = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+    return xm[:, None] + (0.5 * mesh.h) * _GL4_X[None, :]
+
+
+def load_from_values(mesh: SpatialMesh, values=None, flux=None, ends=None) -> np.ndarray:
+    """Full nodal vector of <v, phi_p> - <g, phi_p'> + [g phi_p]_a^b.
+
+    values and flux hold v and g on gauss_points(mesh); ends holds g(a), g(b).
+    Any of them may be None.  With all three this is the load of v + g'.
+    """
+    out = np.zeros(mesh.M_x + 1)
+    if values is not None:
+        half = 0.5 * mesh.h
+        out[:-1] += half * (values @ (_GL4_W * (0.5 * (1.0 - _GL4_X))))
+        out[1:] += half * (values @ (_GL4_W * (0.5 * (1.0 + _GL4_X))))
+    if flux is not None:
+        # phi_p' = -+1/h cancels the h/2 scale of the rule
+        el = 0.5 * (flux @ _GL4_W)
+        out[:-1] += el
+        out[1:] -= el
+    if ends is not None:
+        out[0] -= ends[0]
+        out[-1] += ends[1]
+    return out
+
+
 def load_vector(g, mesh: SpatialMesh) -> np.ndarray:
     """Full nodal vector of ∫ g φ_p dx, 4-point Gauss per element."""
-    h = mesh.h
-    xm = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-    xg = xm[:, None] + (0.5 * h) * _GL4_X[None, :]
-    gv = _eval_on(g, xg)
-    phi_l = 0.5 * (1.0 - _GL4_X)
-    phi_r = 0.5 * (1.0 + _GL4_X)
-    wl = (0.5 * h) * (gv @ (_GL4_W * phi_l))
-    wr = (0.5 * h) * (gv @ (_GL4_W * phi_r))
-    out = np.zeros(mesh.M_x + 1)
-    out[:-1] += wl
-    out[1:] += wr
-    return out
+    return load_from_values(mesh, _eval_on(g, gauss_points(mesh)))
 
 
 def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
@@ -243,15 +258,9 @@ def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
         if u0_prime is None:
             step = 1e-5 * mesh.h
             u0_prime = lambda x: (u0(x + step) - u0(x - step)) / (2.0 * step)
-        h = mesh.h
-        xm = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-        xg = xm[:, None] + (0.5 * h) * _GL4_X[None, :]
-        gv = _eval_on(kappa, xg) * _eval_on(u0_prime, xg)
-        # ∫ kappa u0' phi_p' per element: phi' = ±1/h cancels the h/2 scale
-        el = 0.5 * (gv @ _GL4_W)
-        rhs = np.zeros(mesh.M_x + 1)
-        rhs[:-1] -= el
-        rhs[1:] += el
+        xg = gauss_points(mesh)
+        # <kappa u0', phi_p'> is the load of -(kappa u0')' in flux form
+        rhs = load_from_values(mesh, flux=-_eval_on(kappa, xg) * _eval_on(u0_prime, xg))
         stiff = assemble_G(mesh, bc, kappa, None)
         return to_full(thomas_solve(stiff, to_dof(rhs, bc)), bc)
 

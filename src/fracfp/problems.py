@@ -6,11 +6,13 @@ Both built-in problems have exact solutions of the form
     u(x, t) = sum_m c_m sin(lam_m x) E_{alpha,1}(-lam_m^2 t^alpha),
     lam_m = (2m+1) pi,
 
-with polynomially decaying c_m, and sources f = t^(alpha-1) g(x, t) where g
-is assembled from the companion series V (the E_{alpha,alpha} analogue of u)
-and its x-derivative.  Series evaluation is the delicate part: a fixed
-truncation cannot serve both t = O(1) and the t_1 ~ 1e-12 values of strongly
-graded meshes, so the evaluator picks the truncation M and a tail
+with polynomially decaying c_m.  Their sources are exact x-derivatives,
+f = t^(alpha-1) d/dx[(sin t - x) V(x, t)] with the companion series V (the
+E_{alpha,alpha} analogue of u), so they are given in flux form,
+ProblemSpec.flux_regular = (sin t - x) V: the load vector needs V only,
+never the slower-converging V_x.  Series evaluation is the delicate part: a
+fixed truncation cannot serve both t = O(1) and the t_1 ~ 1e-12 values of
+strongly graded meshes, so the evaluator picks the truncation M and a tail
 acceleration order K per call from analytic bounds (see _choose_mk).
 """
 
@@ -60,7 +62,7 @@ _DEFAULT_TRUNC = SeriesTruncation()
 
 
 # ---------------------------------------------------------------------------
-# trigonometric mode sums with per-array caching
+# sine mode sums with per-array caching
 # ---------------------------------------------------------------------------
 
 _ROW_CAP = 256
@@ -68,26 +70,21 @@ _CHUNK = 1024
 
 
 class _TrigCache:
-    """Cached sin/cos(lam_m x) rows for one x array (lam grid is universal)."""
+    """Cached sin(lam_m x) rows for one x array (lam grid is universal)."""
 
-    __slots__ = ("x", "flat", "sin", "cos")
+    __slots__ = ("x", "flat", "sin")
 
     def __init__(self, x):
         self.x = x  # strong reference keeps id(x) stable
         self.flat = np.ascontiguousarray(np.asarray(x, dtype=float).ravel())
         self.sin = np.empty((0, self.flat.size))
-        self.cos = np.empty((0, self.flat.size))
 
-    def rows(self, count: int, trig: str) -> np.ndarray:
-        have = getattr(self, trig)
-        if have.shape[0] < count:
-            grow = max(count, 2 * have.shape[0], 32)
-            lam = (2.0 * np.arange(have.shape[0], grow) + 1.0) * math.pi
-            arg = np.outer(lam, self.flat)
-            new = np.vstack([have, np.sin(arg) if trig == "sin" else np.cos(arg)])
-            setattr(self, trig, new)
-            have = new
-        return have[:count]
+    def rows(self, count: int) -> np.ndarray:
+        if self.sin.shape[0] < count:
+            grow = max(count, 2 * self.sin.shape[0], 32)
+            lam = (2.0 * np.arange(self.sin.shape[0], grow) + 1.0) * math.pi
+            self.sin = np.vstack([self.sin, np.sin(np.outer(lam, self.flat))])
+        return self.sin[:count]
 
 
 _trig_caches: dict = {}
@@ -105,12 +102,13 @@ def _trig_cache_for(x) -> _TrigCache:
     return cache
 
 
-def _stream_trig(flat: np.ndarray, m0: int, n: int):
-    """sin/cos(lam_m x) rows for m = m0..m0+n-1 via vectorized angle doubling.
+def _stream_sin(flat: np.ndarray, m0: int, n: int) -> np.ndarray:
+    """sin(lam_m x) rows for m = m0..m0+n-1 via vectorized angle doubling.
 
-    One exact trig row seeds the block; doubling grows phase errors only to
-    ~n*eps, which the rapidly decaying tail weights render irrelevant, and
-    every chunk restarts from a fresh exact row.
+    One exact sin/cos row pair seeds the block (the cos rows only carry the
+    recurrence); doubling grows phase errors only to ~n*eps, which the
+    rapidly decaying tail weights render irrelevant, and every chunk restarts
+    from a fresh exact row.
     """
     ang0 = ((2.0 * m0 + 1.0) * math.pi) * flat
     s = np.empty((n, flat.size))
@@ -127,11 +125,11 @@ def _stream_trig(flat: np.ndarray, m0: int, n: int):
         r += take
         if r < n:
             pc, ps = pc * pc - ps * ps, 2.0 * pc * ps
-    return s, c
+    return s
 
 
-def _mode_sum(cache: _TrigCache, weights: np.ndarray, trig: str) -> np.ndarray:
-    """weights @ trig(lam_m x) over the cache's grid; weights is (..., modes).
+def _mode_sum(cache: _TrigCache, weights: np.ndarray) -> np.ndarray:
+    """weights @ sin(lam_m x) over the cache's grid; weights is (..., modes).
 
     The first _ROW_CAP modes come from the cached matrix; anything beyond is
     streamed in chunks so huge truncations never pin huge matrices.  Batching
@@ -140,12 +138,11 @@ def _mode_sum(cache: _TrigCache, weights: np.ndarray, trig: str) -> np.ndarray:
     """
     count = weights.shape[-1]
     head = min(count, _ROW_CAP)
-    out = weights[..., :head] @ cache.rows(head, trig)
+    out = weights[..., :head] @ cache.rows(head)
     m0 = head
     while m0 < count:
         m1 = min(m0 + _CHUNK, count)
-        sblk, cblk = _stream_trig(cache.flat, m0, m1 - m0)
-        out += weights[..., m0:m1] @ (sblk if trig == "sin" else cblk)
+        out += weights[..., m0:m1] @ _stream_sin(cache.flat, m0, m1 - m0)
         m0 = m1
     return out
 
@@ -173,7 +170,6 @@ class SineSeries:
         self.alternating = bool(alternating)
         self._prims = [half_poly]
         self._pmax: list = []
-        self._dmax: list = []
 
     def _primitive(self, k: int) -> Polynomial:
         while len(self._prims) <= k:
@@ -183,14 +179,12 @@ class SineSeries:
             self._prims.append(-i2 + Polynomial([0.0, slope]))
         return self._prims[k]
 
-    def _scale(self, k: int, deriv: bool) -> float:
-        store = self._dmax if deriv else self._pmax
-        while len(store) <= k:
-            j = len(store)
-            poly = self._primitive(j).deriv() if deriv else self._primitive(j)
-            xs = np.linspace(0.0, 0.5, 129)
-            store.append(float(np.max(np.abs(poly(xs)))))
-        return store[k]
+    def _scale(self, k: int) -> float:
+        """max |P_k| on [0, 1/2], sampled."""
+        xs = np.linspace(0.0, 0.5, 129)
+        while len(self._pmax) <= k:
+            self._pmax.append(float(np.max(np.abs(self._primitive(len(self._pmax))(xs)))))
+        return self._pmax[k]
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         lam = (2.0 * m + 1.0) * math.pi
@@ -204,19 +198,17 @@ class SineSeries:
         xm = np.minimum(x, 1.0 - x)
         return self._primitive(k)(xm)
 
-    def eval_D(self, k: int, x: np.ndarray) -> np.ndarray:
-        """x-derivative of eval_P (one-sided at the symmetry point)."""
-        dq = self._primitive(k).deriv()
-        return np.where(x <= 0.5, dq(np.minimum(x, 0.5)), -dq(1.0 - np.maximum(x, 0.5)))
-
     def u0(self, x):
         arr = np.asarray(x, dtype=float)
         vals = self.eval_P(0, arr.ravel() if arr.ndim else arr.reshape(1))
         return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
     def u0_prime(self, x):
+        """x-derivative of u0 (one-sided at the symmetry point)."""
         arr = np.asarray(x, dtype=float)
-        vals = self.eval_D(0, arr.ravel() if arr.ndim else arr.reshape(1))
+        flat = arr.ravel() if arr.ndim else arr.reshape(1)
+        dq = self._primitive(0).deriv()
+        vals = np.where(flat <= 0.5, dq(np.minimum(flat, 0.5)), -dq(1.0 - np.maximum(flat, 0.5)))
         return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
@@ -229,8 +221,8 @@ def _modes_for(C: float, e: float) -> int:
     return int(math.ceil((rhs ** (1.0 / (e - 1.0)) - 1.0) / 2.0))
 
 
-def _choose_mk(series: SineSeries, p_eff: int, beta: float, t: float, alpha: float,
-               trunc: SeriesTruncation, deriv: bool):
+def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float,
+               trunc: SeriesTruncation):
     """Pick truncation M and the correction terms for one evaluation.
 
     Under acceleration order J the dropped remainder (modes m > M after
@@ -238,7 +230,7 @@ def _choose_mk(series: SineSeries, p_eff: int, beta: float, t: float, alpha: flo
     envelope
 
         3 Gamma(1 + alpha(J+1) - beta)/pi * t**(-alpha(J+1))
-          * A * sum_{m>M} lam_m**-(p_eff + 2(J+1)),
+          * A * sum_{m>M} lam_m**-(p + 2(J+1)),
 
     but a *computed* correction term k costs roundoff of order
     t**(-alpha k) * eps * max|P_k| (it is a difference of two O(|P_k|)
@@ -249,10 +241,11 @@ def _choose_mk(series: SineSeries, p_eff: int, beta: float, t: float, alpha: flo
     """
     tol = trunc.tail_tol
     A = abs(series.amplitude)
+    p = series.power
     best = None
     with np.errstate(over="ignore"):
         for J in range(trunc.order + 1):
-            e_env = p_eff + 2 * (J + 1)
+            e_env = p + 2 * (J + 1)
             c_env = (3.0 * math.gamma(1.0 + alpha * (J + 1) - beta) / math.pi
                      * t ** (-alpha * (J + 1)) * A / (0.5 * tol))
             if not math.isfinite(c_env):
@@ -264,7 +257,7 @@ def _choose_mk(series: SineSeries, p_eff: int, beta: float, t: float, alpha: flo
                 rg = abs(float(rgamma(beta - alpha * k)))
                 if rg == 0.0:
                     continue
-                noise = t ** (-alpha * k) * 5.0e-16 * series._scale(k, deriv) * rg
+                noise = t ** (-alpha * k) * 5.0e-16 * series._scale(k) * rg
                 if noise <= 0.1 * tol:
                     terms.append(k)
                 else:
@@ -272,7 +265,7 @@ def _choose_mk(series: SineSeries, p_eff: int, beta: float, t: float, alpha: flo
                     if not math.isfinite(c_kill):
                         feasible = False
                         break
-                    m_req = max(m_req, _modes_for(c_kill, p_eff + 2 * k))
+                    m_req = max(m_req, _modes_for(c_kill, p + 2 * k))
             if not feasible:
                 continue
             if best is None or m_req < best[0]:
@@ -290,7 +283,7 @@ def _choose_mk(series: SineSeries, p_eff: int, beta: float, t: float, alpha: flo
     kept = []
     for k in terms:
         rg = abs(float(rgamma(beta - alpha * k)))
-        e_k = p_eff + 2 * k
+        e_k = p + 2 * k
         size = (rg * t ** (-alpha * k) * A * math.pi ** (-e_k)
                 * (2.0 * m_fin + 1.0) ** (1 - e_k) / (2.0 * (e_k - 1.0)))
         if size > 0.02 * tol:
@@ -304,10 +297,9 @@ def _shape(vals: np.ndarray, arr: np.ndarray):
 
 def _eval_structured(series: SineSeries, kind: str, x, t, alpha: float,
                      trunc: SeriesTruncation):
-    """Evaluate the u / V / V_x series of one SineSeries.
+    """Evaluate the u / V series of one SineSeries.
 
-    kind "u" pairs sin modes with E_{alpha,1}; "v" uses E_{alpha,alpha};
-    "vx" is the x-derivative of "v" (cos modes, one extra lam power).
+    kind "u" pairs sin modes with E_{alpha,1}; "v" uses E_{alpha,alpha}.
     t may be a scalar or a 1-D array; batching times shares the trig mode
     matrices, and the truncation is chosen at the smallest positive t (its
     bounds only improve with t).  Result shape is t.shape + x.shape.
@@ -323,33 +315,26 @@ def _eval_structured(series: SineSeries, kind: str, x, t, alpha: float,
     flat = cache.flat
 
     beta = 1.0 if kind == "u" else alpha
-    deriv = kind == "vx"
-    p_eff = series.power - (1 if deriv else 0)
 
     out = np.empty((ts.size, flat.size))
     pos = ts > 0.0
     if not pos.all():
         # E(0) = 1/Gamma(beta) mode-independently, so the closed form applies
         scale = 1.0 if kind == "u" else float(rgamma(alpha))
-        out[~pos] = (series.eval_D(0, flat) if deriv else series.eval_P(0, flat)) * scale
+        out[~pos] = series.eval_P(0, flat) * scale
     if pos.any():
         tp = ts[pos]
-        M, terms = _choose_mk(series, p_eff, beta, float(tp.min()), alpha, trunc, deriv)
+        M, terms = _choose_mk(series, beta, float(tp.min()), alpha, trunc)
         m = np.arange(M + 1)
         lam = (2.0 * m + 1.0) * math.pi
         c = series.coeffs(m)
         z = np.outer(tp**alpha, lam * lam)
         E = np.asarray(mittag_leffler(alpha, beta, -z.ravel())).reshape(z.shape)
-        head = _mode_sum(cache, (c * lam) * E if deriv else c * E,
-                         "cos" if deriv else "sin")
+        head = _mode_sum(cache, c * E)
         for k in terms:
             rg = float(rgamma(beta - alpha * k))
             sign = 1.0 if k % 2 == 1 else -1.0
-            damp = lam ** (-2.0 * k)
-            if deriv:
-                gap = series.eval_D(k, flat) - _mode_sum(cache, c * lam * damp, "cos")
-            else:
-                gap = series.eval_P(k, flat) - _mode_sum(cache, c * damp, "sin")
+            gap = series.eval_P(k, flat) - _mode_sum(cache, c * lam ** (-2.0 * k))
             head += (sign * rg) * np.outer(tp ** (-alpha * k), gap)
         out[pos] = head
     if tarr.ndim == 0:
@@ -458,9 +443,12 @@ def eval_series(coeffs, x, t: float, alpha: float,
 class ProblemSpec:
     """Everything the stepper needs, as plain callables.
 
-    f is the full source including its t**rho singular factor; f_regular is
-    the smooth cofactor (f = t**rho f_regular), which the source quadrature
-    prefers when present.  exact, u0_prime, f, f_regular may be None.
+    The source is t**rho (f_regular + d/dx flux_regular) with smooth
+    cofactors.  f_regular is the pointwise part, f the same part with its
+    t**rho factor (the source quadrature prefers f_regular when present);
+    flux_regular is a flux g whose x-derivative is part of the source, which
+    the stepper assembles as -<g, phi'> + [g phi] without differentiating g.
+    exact, u0_prime, f, f_regular, flux_regular may be None.
     """
 
     name: str
@@ -479,6 +467,7 @@ class ProblemSpec:
     default_projection: str
     series: Optional[SineSeries] = None
     trunc: SeriesTruncation = _DEFAULT_TRUNC
+    flux_regular: Optional[Callable] = None
 
 
 class _Memo:
@@ -511,22 +500,12 @@ def _series_problem(name: str, alpha: float, series: SineSeries,
 
     exact = _Memo(lambda x, t: _eval_structured(series, "u", x, t, alpha, tr))
 
-    def f_regular(x, t):
+    def flux_regular(x, t):
+        # f_regular = (sin t - x) V_x - V is the x-derivative of this flux
         v = _eval_structured(series, "v", x, t, alpha, tr)
-        vx = _eval_structured(series, "vx", x, t, alpha, tr)
         tt = np.asarray(t, dtype=float)
         xx = np.asarray(x, dtype=float)
-        drift = np.sin(tt).reshape(tt.shape + (1,) * xx.ndim) - xx
-        return drift * vx - v
-
-    def f(x, t):
-        tt = np.asarray(t, dtype=float)
-        if np.any(tt <= 0.0):
-            raise ValueError("the source is singular at t = 0; integrate via f_regular")
-        xx = np.asarray(x, dtype=float)
-        fac = (tt ** (alpha - 1.0)).reshape(tt.shape + (1,) * xx.ndim)
-        vals = fac * f_regular(x, t)
-        return float(vals) if vals.ndim == 0 else vals
+        return (np.sin(tt).reshape(tt.shape + (1,) * xx.ndim) - xx) * v
 
     return ProblemSpec(
         name=name,
@@ -535,8 +514,8 @@ def _series_problem(name: str, alpha: float, series: SineSeries,
         T=1.0,
         kappa=lambda x: 1.0,
         drift=lambda x, t: np.sin(t) - x,
-        f=f,
-        f_regular=f_regular,
+        f=None,
+        f_regular=None,
         rho=alpha - 1.0,
         u0=series.u0,
         u0_prime=series.u0_prime,
@@ -545,6 +524,7 @@ def _series_problem(name: str, alpha: float, series: SineSeries,
         default_projection=default_projection,
         series=series,
         trunc=tr,
+        flux_regular=flux_regular,
     )
 
 
@@ -558,7 +538,7 @@ def example2(alpha: float, trunc: Optional[SeriesTruncation] = None) -> ProblemS
     """Hat initial data (kink at x = 1/2): coefficients 4 (-1)^m lam_m**-2.
 
     Nodal projection is the default so the kink lands exactly on a mesh node
-    value; the source term is derived from the series exactly as in example1.
+    value; the source flux is derived from the series exactly as in example1.
     """
     series = SineSeries(4.0, 2, True, Polynomial([0.0, 1.0]))
     return _series_problem("ex2", alpha, series, "nodal", trunc)

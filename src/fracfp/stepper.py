@@ -19,6 +19,8 @@ from .fem1d import (
     TriDiagMatrix,
     assemble_G,
     assemble_mass,
+    gauss_points,
+    load_from_values,
     project_initial,
     thomas_solve,
     to_dof,
@@ -38,7 +40,6 @@ __all__ = [
 ]
 
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,12 @@ class Trajectory:
 @dataclass
 class SolverState:
     """Mutable per-solve state: completed step count, increment history,
-    current solution, and the matrices/weights shared by every step."""
+    current solution, and the matrices/weights shared by every step.
+
+    quad_x (the spatial Gauss points) and ends (the domain endpoints, None
+    under Dirichlet, which eliminates the boundary rows) are built once per
+    solve so that callables caching on the array identity hit on every step.
+    """
 
     n: int
     bc: BcMode
@@ -91,28 +97,17 @@ class SolverState:
     mass: TriDiagMatrix
     cw: ConvolutionWeights
     quad_x: np.ndarray = field(repr=False)
+    ends: Optional[np.ndarray] = field(repr=False)
 
 
-def _quad_grid(spatial: SpatialMesh) -> np.ndarray:
-    """(M_x, 4) spatial Gauss points, built once per solve so that callables
-    caching on the array identity get hits on every step."""
-    xm = 0.5 * (spatial.nodes[:-1] + spatial.nodes[1:])
-    return xm[:, None] + (0.5 * spatial.h) * _GL4_X[None, :]
+def _has_source(problem) -> bool:
+    return any(fn is not None for fn in (problem.f, problem.f_regular, problem.flux_regular))
 
 
-def _load_from_values(gv: np.ndarray, spatial: SpatialMesh) -> np.ndarray:
-    phi_l = 0.5 * (1.0 - _GL4_X)
-    phi_r = 0.5 * (1.0 + _GL4_X)
-    half = 0.5 * spatial.h
-    out = np.zeros(spatial.M_x + 1)
-    out[:-1] += half * (gv @ (_GL4_W * phi_l))
-    out[1:] += half * (gv @ (_GL4_W * phi_r))
-    return out
-
-
-def _source_on_grid(problem, spatial: SpatialMesh, interval, quad_x: np.ndarray) -> np.ndarray:
+def _source_on_grid(problem, spatial: SpatialMesh, interval, quad_x: np.ndarray,
+                    ends: Optional[np.ndarray]) -> np.ndarray:
     t0, t1 = interval
-    rho = float(getattr(problem, "rho", 0.0) or 0.0)
+    rho = float(problem.rho or 0.0)
     if rho <= -1.0:
         raise ValueError(f"temporal exponent rho = {rho} is not integrable")
     if not 0.0 <= t0 < t1:
@@ -124,32 +119,40 @@ def _source_on_grid(problem, spatial: SpatialMesh, interval, quad_x: np.ndarray)
     shalf = 0.5 * (s1 - s0)
     svals = 0.5 * (s0 + s1) + shalf * _GL8_X
     tvals = svals ** (1.0 / q)
-    reg = getattr(problem, "f_regular", None)
 
-    if reg is not None:
+    def fold(fn, x):
         # one batched call over all time nodes; series-backed sources share
         # their trig mode matrices across the batch
-        gv = np.asarray(reg(quad_x, tvals), dtype=float)
-        folded = np.tensordot(_GL8_W, gv, axes=(0, 0))
-    else:
-        folded = np.zeros_like(quad_x)
+        if fn is None:
+            return None
+        return np.tensordot(_GL8_W, np.asarray(fn(x, tvals), dtype=float), axes=(0, 0))
+
+    values = fold(problem.f_regular, quad_x)
+    if values is None and problem.f is not None:
+        values = np.zeros_like(quad_x)
         for wq, tv in zip(_GL8_W, tvals):
-            folded += wq * tv ** (-rho) * np.asarray(problem.f(quad_x, tv), dtype=float)
-    return _load_from_values(folded, spatial) * (shalf / q)
+            values += wq * tv ** (-rho) * np.asarray(problem.f(quad_x, tv), dtype=float)
+    g_ends = None if ends is None else fold(problem.flux_regular, ends)
+    return load_from_values(spatial, values, fold(problem.flux_regular, quad_x), g_ends) * (shalf / q)
 
 
 def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
     """Full nodal vector with components int_{I_n} <f, phi_p> dt.
 
-    The time rule is 8-point Gauss in the substituted variable s = t**(rho+1),
-    where f = t**rho g with g smooth (problems declare rho; 0 means none).
-    Space uses 4-point Gauss per element.  Relative accuracy on the built-in
-    manufactured sources is validated against adaptive quadrature in the
-    tests.  Raises for rho <= -1 (non-integrable).
+    The source is f = t**rho (f_regular + d/dx flux_regular), with f_regular
+    and flux_regular smooth (problems declare rho; 0 means none); a problem
+    without f_regular may give the pointwise f, singular factor included.
+    The flux part is assembled as -<g, phi_p'> + [g phi_p]_a^b, so it needs g
+    only, never its derivative.  The time rule is 8-point Gauss in the
+    substituted variable s = t**(rho+1); space uses 4-point Gauss per
+    element.  Relative accuracy on the built-in manufactured sources is
+    validated against adaptive quadrature in the tests.  Raises for
+    rho <= -1 (non-integrable).
     """
-    if problem.f is None:
+    if not _has_source(problem):
         return np.zeros(spatial.M_x + 1)
-    return _source_on_grid(problem, spatial, interval, _quad_grid(spatial))
+    return _source_on_grid(problem, spatial, interval, gauss_points(spatial),
+                           np.array([spatial.a, spatial.b]))
 
 
 def _resolve(problem, config: SolverConfig):
@@ -181,13 +184,17 @@ def init_state(problem, config: SolverConfig) -> SolverState:
         W=np.zeros((N, U0_dof.size)),
         mass=assemble_mass(space, bc),
         cw=ConvolutionWeights(config.mesh, config.alpha),
-        quad_x=_quad_grid(space),
+        quad_x=gauss_points(space),
+        ends=None if bc is BcMode.DIRICHLET else np.array([space.a, space.b]),
     )
 
 
 def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     """Advance one time level: solve S^n W^n = f^n - w0(n) G^n U^0 - G^n H^n
-    with the history vector H^n = sum_{j<n} (w_{n,j}/tau_j) W^j."""
+    with the history vector H^n = sum_{j<n} (w_{n,j}/tau_j) W^j.
+
+    Raises FloatingPointError, naming n and t_n, if W^n is not finite.
+    """
     tmesh = config.mesh
     n = state.n + 1
     if n > tmesh.N:
@@ -199,10 +206,11 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     G = assemble_G(config.spatial, state.bc, problem.kappa, davg)
     S = state.mass.plus_scaled(G, state.cw.d(n))
 
-    if problem.f is None:
-        fvec = np.zeros(state.U_dof.size)
+    if _has_source(problem):
+        fvec = to_dof(_source_on_grid(problem, config.spatial, (t0, t1), state.quad_x, state.ends),
+                      state.bc)
     else:
-        fvec = to_dof(_source_on_grid(problem, config.spatial, (t0, t1), state.quad_x), state.bc)
+        fvec = np.zeros(state.U_dof.size)
 
     hist = state.cw.w0(n) * state.U0_dof
     if n >= 2:
@@ -210,6 +218,8 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
         hist = hist + coeff @ state.W[: n - 1]
 
     Wn = thomas_solve(S, fvec - G.matvec(hist))
+    if not np.isfinite(Wn).all():
+        raise FloatingPointError(f"non-finite solution at step n = {n}, t_n = {t1:.6g}")
     state.W[n - 1] = Wn
     state.U_dof = state.U_dof + Wn
     state.U_full[n] = to_full(state.U_dof, state.bc)
@@ -220,7 +230,7 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
 def _stability_inputs(problem, config: SolverConfig):
     """Sampled drift bound and diffusion floor for the step-size diagnostic."""
     space = config.spatial
-    xq = _quad_grid(space)
+    xq = gauss_points(space)
     kv = np.asarray(problem.kappa(xq), dtype=float)
     kmin = float(kv.min()) if kv.shape else float(kv)
     c0 = 0.0

@@ -73,8 +73,9 @@ def ml_oracle(mu: float, beta: float, x: float) -> float:
 
 
 def series_u_oracle(amplitude: float, power: int, alternating: bool,
-                    x: float, t: float, alpha: float, terms: int = 400) -> float:
-    """Direct finite sum of c_m sin(lam_m x) E_{alpha,1}(-lam_m^2 t^alpha).
+                    x: float, t: float, alpha: float, terms: int = 400,
+                    beta: float = 1.0) -> float:
+    """Direct finite sum of c_m sin(lam_m x) E_{alpha,beta}(-lam_m^2 t^alpha).
 
     Slow but transparent; only for spot values at moderate t where the
     tail beyond `terms` modes is far below 1e-13.
@@ -84,7 +85,7 @@ def series_u_oracle(amplitude: float, power: int, alternating: bool,
     for m in range(terms):
         lam = (2 * m + 1) * math.pi
         c = amplitude * lam ** (-power) * (-1.0 if alternating and m % 2 else 1.0)
-        term = c * math.sin(lam * x) * ml_oracle(alpha, 1.0, lam * lam * t ** alpha)
+        term = c * math.sin(lam * x) * ml_oracle(alpha, beta, lam * lam * t ** alpha)
         # Neumaier compensation; the terms alternate in size by decades
         new = total + term
         if abs(total) >= abs(term):

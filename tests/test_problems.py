@@ -70,22 +70,27 @@ def test_symmetry_of_solutions():
 
 # ----------------------------------------------------------- source algebra
 
-def test_f_is_singular_factor_times_regular():
-    prob = example1(0.55)
-    x = np.linspace(0.1, 0.9, 7)
-    for t in (1e-4, 0.37, 1.0):
-        full = prob.f(x, t)
-        reg = prob.f_regular(x, t)
-        np.testing.assert_allclose(full, t ** (0.55 - 1.0) * reg, rtol=1e-13)
+def test_flux_is_drift_times_v_series():
+    # the source is t**(alpha-1) d/dx[(sin t - x) V] with V the E_{alpha,alpha}
+    # companion series; it is given in flux form only
+    alpha = 0.55
+    prob = example1(alpha)
+    assert prob.f is None and prob.f_regular is None
+    assert prob.rho == alpha - 1.0
+    for x, t in [(0.3, 0.37), (0.5, 1.0), (0.85, 0.05)]:
+        v = series_u_oracle(8.0, 3, False, x, t, alpha, beta=alpha)
+        got = prob.flux_regular(np.array([x]), t)[0]
+        assert got == pytest.approx((math.sin(t) - x) * v, abs=1e-10)
 
 
-def test_f_rejects_nonpositive_time():
+def test_flux_rejects_negative_time():
     prob = example2(0.5)
-    x = np.array([0.5])
+    x = np.array([0.2, 0.5])
     with pytest.raises(ValueError):
-        prob.f(x, 0.0)
-    with pytest.raises(ValueError):
-        prob.f(x, -0.1)
+        prob.flux_regular(x, -0.1)
+    # the flux cofactor is regular at t = 0: V(x, 0) = u0(x) / Gamma(alpha)
+    np.testing.assert_allclose(prob.flux_regular(x, 0.0), -x * prob.u0(x) / math.gamma(0.5),
+                               rtol=1e-14)
 
 
 def test_batched_time_matches_scalar_calls():
@@ -94,10 +99,18 @@ def test_batched_time_matches_scalar_calls():
     prob = example1(0.45)
     x = np.linspace(0.0, 1.0, 11)
     ts = np.array([1e-6, 1e-3, 0.2, 0.9])
-    batch = prob.f_regular(x, ts)
+    batch = prob.flux_regular(x, ts)
     assert batch.shape == (4, 11)
     for i, t in enumerate(ts):
-        np.testing.assert_allclose(batch[i], prob.f_regular(x, float(t)), atol=3e-9)
+        np.testing.assert_allclose(batch[i], prob.flux_regular(x, float(t)), atol=3e-9)
+
+
+def test_flux_vanishes_at_ends():
+    # no boundary term enters the load vector of the built-in sources
+    x = np.array([0.0, 1.0])
+    for prob in (example1(0.4), example2(0.8)):
+        vals = prob.flux_regular(x, np.array([0.0, 1e-12, 1e-3, 0.5, 1.0]))
+        assert np.abs(vals).max() < 1e-10
 
 
 # ------------------------------------------------- the equation really holds
@@ -111,7 +124,9 @@ def _weak_residual(prob, t, phi, dphi, ddphi):
 
       <u(t) - u0, phi> = <P(t), phi''> + <F(.,t) P(t), phi'>
                          - int_0^t cos(s) <P(s), phi'> ds
-                         + <int_0^t f ds, phi>.
+                         - int_0^t s^(alpha-1) <g(s), phi'> ds,
+
+    where f = t^(alpha-1) d/dx g is the source in flux form.
 
     Every P-moment collapses to one scalar quadrature over the series by
     Fubini, so this needs nothing but adaptive QUADPACK plus the exact
@@ -150,8 +165,8 @@ def _weak_residual(prob, t, phi, dphi, ddphi):
         lambda s: moment(dphv, s) * kern_tail(s), 0.0, t,
         epsabs=1e-11, epsrel=1e-11, limit=200)[0]
 
-    source = integrate.quad(
-        lambda s: float(wg * phv @ prob.f_regular(xg, float(s))), 0.0, t,
+    source = -integrate.quad(
+        lambda s: float(wg * dphv @ prob.flux_regular(xg, float(s))), 0.0, t,
         weight="alg", wvar=(alpha - 1.0, 0.0), epsabs=1e-11, epsrel=1e-11, limit=200)[0]
 
     return lhs - (diff_term + drift_now - drift_hist + source)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -13,12 +12,12 @@ from fracfp import (
     assemble_source,
     build_mesh,
     init_state,
+    load_vector,
     solve,
     step,
     to_dof,
     uniform_mesh,
 )
-from fracfp.problems import example1
 
 from oracles import cn_reference, source_integral_oracle, source_integral_singular
 
@@ -128,22 +127,72 @@ def test_source_matches_adaptive_quadrature():
 
 
 def test_source_plain_path_matches_batched():
-    # same problem with and without the smooth-cofactor route
-    prob = example1(0.5)
+    # same source with and without the smooth-cofactor route
+    rho = -0.5
+    g = lambda x, t: np.exp(-x) * np.cos(3.0 * t) + x * x * t
+    batched = make_problem(rho=rho, f_regular=_batched(g))
+    plain = make_problem(rho=rho, f=lambda x, t: t ** rho * g(x, t))
     space = uniform_mesh(0.0, 1.0, 12)
-    plain = dataclasses.replace(prob, f_regular=None)
     for interval in [(0.0, 1e-4), (0.2, 0.3)]:
-        a = assemble_source(prob, space, interval)
+        a = assemble_source(batched, space, interval)
         b = assemble_source(plain, space, interval)
-        # the batch shares one series truncation across time nodes, so
-        # agreement is relative to the vector scale, not entrywise
         np.testing.assert_allclose(a, b, atol=1e-12 * np.abs(a).max())
 
 
+def test_flux_source_is_load_of_derivative():
+    # -<g, phi'> + [g phi] = <g', phi> exactly for a cubic g, boundary rows
+    # included; g(0) = 1 and g(1) = 0.5, so the boundary term is needed there
+    cubic = lambda x: 1.0 + 2.0 * x - 3.0 * x ** 2 + 0.5 * x ** 3
+    dcubic = lambda x: 2.0 - 6.0 * x + 1.5 * x ** 2
+    prob = make_problem(bc=BcMode.ZERO_FLUX,
+                        flux_regular=_batched(lambda x, t: (1.0 + t) * cubic(np.asarray(x))))
+    space = uniform_mesh(0.0, 1.0, 7)
+    got = assemble_source(prob, space, (0.25, 0.75))
+    # int_{0.25}^{0.75} (1 + t) dt = 0.75
+    want = 0.75 * load_vector(dcubic, space)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_flux_source_mass_balance_zero_flux():
+    # zero-flux G conserves mass, so the mass gained is the boundary flux in
+    prob = make_problem(alpha=0.5, rho=-0.5, bc=BcMode.ZERO_FLUX,
+                        drift=lambda x, t: np.sin(t) - x,
+                        u0=lambda x: x * (1.0 - x),
+                        flux_regular=_batched(lambda x, t: (1.0 + t) * np.asarray(x) ** 2))
+    space = uniform_mesh(0.0, 1.0, 32)
+    tmesh = build_mesh(1.0, 16, 2.0)
+    traj = solve(prob, SolverConfig(alpha=0.5, mesh=tmesh, spatial=space,
+                                    check_step_size=False))
+    mass = assemble_mass(space, BcMode.ZERO_FLUX)
+    totals = np.array([mass.matvec(u).sum() for u in traj.values])
+    gained = totals - totals[0]
+    # int_0^t s^(-1/2) (1 + s) ds
+    t = tmesh.nodes
+    np.testing.assert_allclose(gained, 2.0 * t ** 0.5 + (2.0 / 3.0) * t ** 1.5, atol=1e-12)
+
+
+def test_nonfinite_state_names_step():
+    # the source turns NaN inside the fifth interval (0.5, 0.625]
+    prob = make_problem(f=lambda x, t: np.full(np.shape(x), np.nan if t > 0.5 else 1.0))
+    config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, 8, 1.0),
+                          spatial=uniform_mesh(0.0, 1.0, 8), check_step_size=False)
+    state = init_state(prob, config)
+    for _ in range(4):
+        step(state, config, prob)
+    assert np.isfinite(state.U_full[4]).all()
+    with pytest.raises(FloatingPointError, match=r"n = 5, t_n = 0\.625"):
+        step(state, config, prob)
+    with pytest.raises(FloatingPointError, match=r"n = 5"):
+        solve(prob, config)
+
+
 def test_source_rejects_nonintegrable_rho():
-    prob = make_problem(rho=-1.0, f=lambda x, t: np.ones_like(x))
-    with pytest.raises(ValueError):
-        assemble_source(prob, uniform_mesh(0.0, 1.0, 8), (0.0, 0.1))
+    space = uniform_mesh(0.0, 1.0, 8)
+    for source in ({"f": lambda x, t: np.ones_like(x)},
+                   {"f_regular": lambda x, t: np.ones(np.shape(t) + np.shape(x))},
+                   {"flux_regular": lambda x, t: np.ones(np.shape(t) + np.shape(x))}):
+        with pytest.raises(ValueError, match="not integrable"):
+            assemble_source(make_problem(rho=-1.0, **source), space, (0.0, 0.1))
 
 
 def test_crank_nicolson_limit():
