@@ -38,7 +38,6 @@ from .problems import (
     SeriesTruncation,
     SineSeries,
     TruncationError,
-    eval_series,
     example1,
     example2,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "compute_errors",
     "compute_rate",
     "conv_weights",
-    "eval_series",
     "example1",
     "example2",
     "init_state",

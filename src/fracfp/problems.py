@@ -14,6 +14,13 @@ never the slower-converging V_x.  Series evaluation is the delicate part: a
 fixed truncation cannot serve both t = O(1) and the t_1 ~ 1e-12 values of
 strongly graded meshes, so the evaluator picks the truncation M and a tail
 acceleration order K per call from analytic bounds (see _choose_mk).
+
+Each problem owns its evaluation caches, shared by its exact and
+flux_regular: per spatial grid, the sin(lam_m x) rows and the exact values
+already computed, by time.  A grid is found by value (shape and contents,
+against a private copy of its points), not by array identity, so editing an
+array in place never returns stale values; exact values come back
+read-only.  A problem keeps at most 8 grids and 4096 exact values per grid.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ __all__ = [
     "SeriesTruncation",
     "SineSeries",
     "ProblemSpec",
-    "eval_series",
     "example1",
     "example2",
 ]
@@ -62,22 +68,27 @@ _DEFAULT_TRUNC = SeriesTruncation()
 
 
 # ---------------------------------------------------------------------------
-# sine mode sums with per-array caching
+# sine mode sums on cached grids
 # ---------------------------------------------------------------------------
 
 _ROW_CAP = 256
 _CHUNK = 1024
+_GRID_CAP = 8  # grids one problem keeps, oldest dropped first
+_MEMO_CAP = 4096  # exact values one grid keeps before it starts over
 
 
-class _TrigCache:
-    """Cached sin(lam_m x) rows for one x array (lam grid is universal)."""
+class _Grid:
+    """One spatial grid of a series problem: a private copy of its points,
+    their sin(lam_m x) rows (the lam grid is universal) and the exact values
+    already computed on it, by time."""
 
-    __slots__ = ("x", "flat", "sin")
+    __slots__ = ("x", "flat", "sin", "exact")
 
-    def __init__(self, x):
-        self.x = x  # strong reference keeps id(x) stable
-        self.flat = np.ascontiguousarray(np.asarray(x, dtype=float).ravel())
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self.flat = x.ravel()
         self.sin = np.empty((0, self.flat.size))
+        self.exact: dict = {}
 
     def rows(self, count: int) -> np.ndarray:
         if self.sin.shape[0] < count:
@@ -87,19 +98,20 @@ class _TrigCache:
         return self.sin[:count]
 
 
-_trig_caches: dict = {}
+def _find_grid(grids: list, x) -> _Grid:
+    """The entry of grids whose points equal x in shape and contents.
 
-
-def _trig_cache_for(x) -> _TrigCache:
-    key = id(x)
-    hit = _trig_caches.get(key)
-    if hit is not None and hit.x is x:
-        return hit
-    cache = _TrigCache(x)
-    if len(_trig_caches) >= 8:
-        _trig_caches.pop(next(iter(_trig_caches)))
-    _trig_caches[key] = cache
-    return cache
+    Matching by value, against a copy taken on first sight, means editing
+    the caller's array in place can never leave a stale entry behind.
+    """
+    arr = np.asarray(x, dtype=float)
+    for grid in grids:
+        if grid.x.shape == arr.shape and np.array_equal(grid.x, arr):
+            return grid
+    if len(grids) >= _GRID_CAP:
+        grids.pop(0)
+    grids.append(_Grid(arr.copy()))
+    return grids[-1]
 
 
 def _stream_sin(flat: np.ndarray, m0: int, n: int) -> np.ndarray:
@@ -128,8 +140,8 @@ def _stream_sin(flat: np.ndarray, m0: int, n: int) -> np.ndarray:
     return s
 
 
-def _mode_sum(cache: _TrigCache, weights: np.ndarray) -> np.ndarray:
-    """weights @ sin(lam_m x) over the cache's grid; weights is (..., modes).
+def _mode_sum(grid: _Grid, weights: np.ndarray) -> np.ndarray:
+    """weights @ sin(lam_m x) over the grid; weights is (..., modes).
 
     The first _ROW_CAP modes come from the cached matrix; anything beyond is
     streamed in chunks so huge truncations never pin huge matrices.  Batching
@@ -138,11 +150,11 @@ def _mode_sum(cache: _TrigCache, weights: np.ndarray) -> np.ndarray:
     """
     count = weights.shape[-1]
     head = min(count, _ROW_CAP)
-    out = weights[..., :head] @ cache.rows(head)
+    out = weights[..., :head] @ grid.rows(head)
     m0 = head
     while m0 < count:
         m1 = min(m0 + _CHUNK, count)
-        out += weights[..., m0:m1] @ _stream_sin(cache.flat, m0, m1 - m0)
+        out += weights[..., m0:m1] @ _stream_sin(grid.flat, m0, m1 - m0)
         m0 = m1
     return out
 
@@ -295,14 +307,14 @@ def _shape(vals: np.ndarray, arr: np.ndarray):
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
-def _eval_structured(series: SineSeries, kind: str, x, t, alpha: float,
+def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float,
                      trunc: SeriesTruncation):
-    """Evaluate the u / V series of one SineSeries.
+    """Evaluate the u / V series of one SineSeries on a grid's points.
 
     kind "u" pairs sin modes with E_{alpha,1}; "v" uses E_{alpha,alpha}.
     t may be a scalar or a 1-D array; batching times shares the trig mode
     matrices, and the truncation is chosen at the smallest positive t (its
-    bounds only improve with t).  Result shape is t.shape + x.shape.
+    bounds only improve with t).  Result shape is t.shape + grid.x.shape.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -310,9 +322,7 @@ def _eval_structured(series: SineSeries, kind: str, x, t, alpha: float,
     ts = np.atleast_1d(tarr)
     if np.any(ts < 0.0):
         raise ValueError("series evaluation requires t >= 0")
-    arr = np.asarray(x, dtype=float)
-    cache = _trig_cache_for(x if isinstance(x, np.ndarray) else arr)
-    flat = cache.flat
+    flat = grid.flat
 
     beta = 1.0 if kind == "u" else alpha
 
@@ -330,108 +340,16 @@ def _eval_structured(series: SineSeries, kind: str, x, t, alpha: float,
         c = series.coeffs(m)
         z = np.outer(tp**alpha, lam * lam)
         E = np.asarray(mittag_leffler(alpha, beta, -z.ravel())).reshape(z.shape)
-        head = _mode_sum(cache, c * E)
+        head = _mode_sum(grid, c * E)
         for k in terms:
             rg = float(rgamma(beta - alpha * k))
             sign = 1.0 if k % 2 == 1 else -1.0
-            gap = series.eval_P(k, flat) - _mode_sum(cache, c * lam ** (-2.0 * k))
+            gap = series.eval_P(k, flat) - _mode_sum(grid, c * lam ** (-2.0 * k))
             head += (sign * rg) * np.outer(tp ** (-alpha * k), gap)
         out[pos] = head
     if tarr.ndim == 0:
-        return _shape(out[0], arr)
-    return out.reshape(tarr.shape + arr.shape)
-
-
-# ---------------------------------------------------------------------------
-# public series evaluation
-# ---------------------------------------------------------------------------
-
-
-def _generic_rest(c2: float, M: int, s: float, ga: float, b_a: float,
-                  split: bool, t: float) -> float:
-    """Tail bound for the generic path after summing modes 0..M, assuming
-    |c_m| <= c2 lam**-2 beyond M."""
-    tail2 = c2 / (2.0 * math.pi**2 * (2.0 * M + 1.0))  # sum |c| over the tail
-    if t == 0.0:
-        return tail2
-    if split:
-        # |E - 1| <= min(1, z/Gamma(1+alpha))
-        mstar = (math.sqrt(ga / s) / math.pi - 1.0) / 2.0
-        low = max(0.0, mstar - M) * (s / ga) * c2
-        mhi = max(float(M), mstar)
-        return low + c2 / (2.0 * math.pi**2 * (2.0 * mhi + 1.0))
-    # |E| <= min(1, b_a/z)
-    mc = (math.sqrt(b_a / s) / math.pi - 1.0) / 2.0
-    if M >= mc:
-        return c2 * (b_a / s) / (6.0 * math.pi**4 * (2.0 * M + 1.0) ** 3)
-    pre = c2 / (2.0 * math.pi**2) * (1.0 / (2.0 * M + 1.0) - 1.0 / (2.0 * mc + 1.0))
-    far = c2 * (b_a / s) / (6.0 * math.pi**4 * (2.0 * mc + 1.0) ** 3)
-    return pre + far
-
-
-def eval_series(coeffs, x, t: float, alpha: float,
-                trunc: Optional[SeriesTruncation] = None, u0=None):
-    """Sum c_m sin(lam_m x) E_{alpha,1}(-lam_m^2 t^alpha), lam_m = (2m+1) pi.
-
-    ``coeffs`` may be a SineSeries (closed-form accelerated path) or a plain
-    callable m -> c_m with decay at least lam_m**-2.  For callables, passing
-    the closed form ``u0`` of sum c_m sin(lam_m x) switches to the split
-    u0(x) + sum c_m sin(lam_m x) (E - 1), whose corrections decay like
-    min(1, lam^2 t^alpha) |c_m|; at t = 0 the split returns u0 exactly.
-    Summation is blockwise with Neumaier compensation and stops once the
-    analytic tail bound drops below trunc.tail_tol; if the cap m_max is hit
-    first, TruncationError is raised.
-    """
-    trunc = trunc or _DEFAULT_TRUNC
-    if isinstance(coeffs, SineSeries):
-        return _eval_structured(coeffs, "u", x, t, alpha, trunc)
-    if not callable(coeffs):
-        raise TypeError("coeffs must be a SineSeries or a callable m -> c_m")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if t < 0.0:
-        raise ValueError("series evaluation requires t >= 0")
-
-    arr = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(arr).ravel().astype(float)
-    s = t**alpha
-    ga = math.gamma(1.0 + alpha)
-    b_a = max(2.0 * float(rgamma(1.0 - alpha)), 0.5)
-    split = u0 is not None
-
-    if split:
-        acc = np.broadcast_to(np.asarray(u0(flat), dtype=float), flat.shape).copy()
-        if t == 0.0:
-            return _shape(acc, arr)
-    else:
-        acc = np.zeros(flat.size)
-    comp = np.zeros(flat.size)
-
-    block = 64
-    m0 = 0
-    rest = math.inf
-    while m0 < trunc.m_max:
-        mm = np.arange(m0, m0 + block)
-        lam = (2.0 * mm + 1.0) * math.pi
-        c = np.array([float(coeffs(int(i))) for i in mm])
-        if t == 0.0:
-            w = c
-        else:
-            E = mittag_leffler(alpha, 1.0, -(lam * lam * s))
-            w = c * (E - 1.0) if split else c * E
-        term = w @ np.sin(np.outer(lam, flat))
-        new = acc + term
-        comp += np.where(np.abs(acc) >= np.abs(term),
-                         (acc - new) + term, (term - new) + acc)
-        acc = new
-        m0 += block
-        c2 = float(np.max(np.abs(c) * lam * lam))
-        rest = _generic_rest(c2, m0 - 1, s, ga, b_a, split, t)
-        if rest <= trunc.tail_tol:
-            return _shape(acc + comp, arr)
-    raise TruncationError(
-        f"tail bound still {rest:.2e} > {trunc.tail_tol:g} after {trunc.m_max} modes"
-    )
+        return _shape(out[0], grid.x)
+    return out.reshape(tarr.shape + grid.x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -470,42 +388,33 @@ class ProblemSpec:
     flux_regular: Optional[Callable] = None
 
 
-class _Memo:
-    """Memoize (array-identity, t) -> values; exact solutions get asked for
-    the same nodal grid at every time level of every run."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.store = {}
-
-    def __call__(self, x, t):
-        if isinstance(x, np.ndarray):
-            key = (id(x), float(t))
-            hit = self.store.get(key)
-            if hit is not None and hit[0] is x:
-                return hit[1]
-            val = self.fn(x, t)
-            if len(self.store) >= 4096:
-                self.store.clear()
-            self.store[key] = (x, val)
-            return val
-        return self.fn(x, t)
-
-
 def _series_problem(name: str, alpha: float, series: SineSeries,
                     default_projection: str, trunc: Optional[SeriesTruncation]) -> ProblemSpec:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"the manufactured problems require 0 < alpha < 1, got {alpha}")
     tr = trunc or _DEFAULT_TRUNC
+    grids: list = []  # shared by exact and flux_regular
 
-    exact = _Memo(lambda x, t: _eval_structured(series, "u", x, t, alpha, tr))
+    def exact(x, t):
+        # every run asks for the same nodal grid at each of its time levels
+        grid = _find_grid(grids, x)
+        key = float(t)
+        val = grid.exact.get(key)
+        if val is None:
+            val = _eval_structured(series, "u", grid, key, alpha, tr)
+            if isinstance(val, np.ndarray):
+                val.flags.writeable = False  # shared by every later call
+            if len(grid.exact) >= _MEMO_CAP:
+                grid.exact.clear()
+            grid.exact[key] = val
+        return val
 
     def flux_regular(x, t):
         # f_regular = (sin t - x) V_x - V is the x-derivative of this flux
-        v = _eval_structured(series, "v", x, t, alpha, tr)
+        grid = _find_grid(grids, x)
+        v = _eval_structured(series, "v", grid, t, alpha, tr)
         tt = np.asarray(t, dtype=float)
-        xx = np.asarray(x, dtype=float)
-        return (np.sin(tt).reshape(tt.shape + (1,) * xx.ndim) - xx) * v
+        return (np.sin(tt).reshape(tt.shape + (1,) * grid.x.ndim) - grid.x) * v
 
     return ProblemSpec(
         name=name,

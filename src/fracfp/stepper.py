@@ -8,7 +8,7 @@ convolution history of increments, solve the tridiagonal system, advance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -81,11 +81,8 @@ class Trajectory:
 @dataclass
 class SolverState:
     """Mutable per-solve state: completed step count, increment history,
-    current solution, and the matrices/weights shared by every step.
-
-    quad_x (the spatial Gauss points) and ends (the domain endpoints, None
-    under Dirichlet, which eliminates the boundary rows) are built once per
-    solve so that callables caching on the array identity hit on every step.
+    current solution, and the matrices/weights shared by every step (the
+    source load is assembled afresh per step by assemble_source).
     """
 
     n: int
@@ -96,16 +93,26 @@ class SolverState:
     W: np.ndarray
     mass: TriDiagMatrix
     cw: ConvolutionWeights
-    quad_x: np.ndarray = field(repr=False)
-    ends: Optional[np.ndarray] = field(repr=False)
 
 
-def _has_source(problem) -> bool:
-    return any(fn is not None for fn in (problem.f, problem.f_regular, problem.flux_regular))
+def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
+    """Full nodal vector with components int_{I_n} <f, phi_p> dt.
 
-
-def _source_on_grid(problem, spatial: SpatialMesh, interval, quad_x: np.ndarray,
-                    ends: Optional[np.ndarray]) -> np.ndarray:
+    The source is f = t**rho (f_regular + d/dx flux_regular), with f_regular
+    and flux_regular smooth (problems declare rho; 0 means none); a problem
+    without f_regular may give the pointwise f, singular factor included.
+    The flux part is assembled as -<g, phi_p'> + [g phi_p]_a^b, so it needs g
+    only, never its derivative; g is evaluated once per interval, on the
+    Gauss points followed by the two endpoints, in one batched call over the
+    time nodes.  Under Dirichlet conditions to_dof drops the boundary rows,
+    endpoint terms included.  The time rule is 8-point Gauss in the
+    substituted variable s = t**(rho+1); space uses 4-point Gauss per
+    element.  Relative accuracy on the built-in manufactured sources is
+    validated against adaptive quadrature in the tests.  Raises for
+    rho <= -1 (non-integrable).
+    """
+    if all(fn is None for fn in (problem.f, problem.f_regular, problem.flux_regular)):
+        return np.zeros(spatial.M_x + 1)
     t0, t1 = interval
     rho = float(problem.rho or 0.0)
     if rho <= -1.0:
@@ -123,36 +130,20 @@ def _source_on_grid(problem, spatial: SpatialMesh, interval, quad_x: np.ndarray,
     def fold(fn, x):
         # one batched call over all time nodes; series-backed sources share
         # their trig mode matrices across the batch
-        if fn is None:
-            return None
         return np.tensordot(_GL8_W, np.asarray(fn(x, tvals), dtype=float), axes=(0, 0))
 
-    values = fold(problem.f_regular, quad_x)
-    if values is None and problem.f is not None:
+    quad_x = gauss_points(spatial)
+    values = flux = ends = None
+    if problem.f_regular is not None:
+        values = fold(problem.f_regular, quad_x)
+    elif problem.f is not None:
         values = np.zeros_like(quad_x)
         for wq, tv in zip(_GL8_W, tvals):
             values += wq * tv ** (-rho) * np.asarray(problem.f(quad_x, tv), dtype=float)
-    g_ends = None if ends is None else fold(problem.flux_regular, ends)
-    return load_from_values(spatial, values, fold(problem.flux_regular, quad_x), g_ends) * (shalf / q)
-
-
-def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
-    """Full nodal vector with components int_{I_n} <f, phi_p> dt.
-
-    The source is f = t**rho (f_regular + d/dx flux_regular), with f_regular
-    and flux_regular smooth (problems declare rho; 0 means none); a problem
-    without f_regular may give the pointwise f, singular factor included.
-    The flux part is assembled as -<g, phi_p'> + [g phi_p]_a^b, so it needs g
-    only, never its derivative.  The time rule is 8-point Gauss in the
-    substituted variable s = t**(rho+1); space uses 4-point Gauss per
-    element.  Relative accuracy on the built-in manufactured sources is
-    validated against adaptive quadrature in the tests.  Raises for
-    rho <= -1 (non-integrable).
-    """
-    if not _has_source(problem):
-        return np.zeros(spatial.M_x + 1)
-    return _source_on_grid(problem, spatial, interval, gauss_points(spatial),
-                           np.array([spatial.a, spatial.b]))
+    if problem.flux_regular is not None:
+        g = fold(problem.flux_regular, np.append(quad_x, [spatial.a, spatial.b]))
+        flux, ends = g[:-2].reshape(quad_x.shape), g[-2:]
+    return load_from_values(spatial, values, flux, ends) * (shalf / q)
 
 
 def _resolve(problem, config: SolverConfig):
@@ -162,7 +153,14 @@ def _resolve(problem, config: SolverConfig):
 
 
 def init_state(problem, config: SolverConfig) -> SolverState:
-    """Project the initial datum and allocate the solve state."""
+    """Project the initial datum and allocate the solve state.
+
+    Raises ValueError when config.alpha and problem.alpha differ: the scheme
+    and the problem's source and exact solution must share one order.
+    """
+    if config.alpha != problem.alpha:
+        raise ValueError(f"config.alpha = {config.alpha} differs from "
+                         f"problem.alpha = {problem.alpha}")
     space = config.spatial
     a, b = problem.domain
     if not (np.isclose(space.a, a) and np.isclose(space.b, b)):
@@ -184,8 +182,6 @@ def init_state(problem, config: SolverConfig) -> SolverState:
         W=np.zeros((N, U0_dof.size)),
         mass=assemble_mass(space, bc),
         cw=ConvolutionWeights(config.mesh, config.alpha),
-        quad_x=gauss_points(space),
-        ends=None if bc is BcMode.DIRICHLET else np.array([space.a, space.b]),
     )
 
 
@@ -206,11 +202,7 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     G = assemble_G(config.spatial, state.bc, problem.kappa, davg)
     S = state.mass.plus_scaled(G, state.cw.d(n))
 
-    if _has_source(problem):
-        fvec = to_dof(_source_on_grid(problem, config.spatial, (t0, t1), state.quad_x, state.ends),
-                      state.bc)
-    else:
-        fvec = np.zeros(state.U_dof.size)
+    fvec = to_dof(assemble_source(problem, config.spatial, (t0, t1)), state.bc)
 
     hist = state.cw.w0(n) * state.U0_dof
     if n >= 2:

@@ -11,6 +11,7 @@ from fracfp import (
     assemble_mass,
     assemble_source,
     build_mesh,
+    example1,
     init_state,
     load_vector,
     solve,
@@ -252,7 +253,7 @@ def test_trajectory_validation():
 
 
 def test_init_state_and_overrides():
-    prob = make_problem(u0=lambda x: x * (1.0 - x))
+    prob = make_problem(alpha=0.5, u0=lambda x: x * (1.0 - x))
     space = uniform_mesh(0.0, 1.0, 16)
     config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 4, 1.0), spatial=space,
                           projection="l2", check_step_size=False)
@@ -268,7 +269,7 @@ def test_init_state_and_overrides():
 
 
 def test_step_past_end_raises():
-    prob = make_problem()
+    prob = make_problem(alpha=0.5)
     config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 2, 1.0),
                           spatial=uniform_mesh(0.0, 1.0, 8), check_step_size=False)
     state = init_state(prob, config)
@@ -279,7 +280,7 @@ def test_step_past_end_raises():
 
 
 def test_step_size_warning_toggle():
-    prob = make_problem(u0=lambda x: x * (1.0 - x),
+    prob = make_problem(alpha=0.9, u0=lambda x: x * (1.0 - x),
                         drift=lambda x, t: np.sin(t) - x)
     space = uniform_mesh(0.0, 1.0, 16)
     config = SolverConfig(alpha=0.9, mesh=build_mesh(1.0, 4, 1.0), spatial=space)
@@ -291,6 +292,17 @@ def test_step_size_warning_toggle():
     with _w.catch_warnings():
         _w.simplefilter("error")
         solve(prob, quiet)
+
+
+def test_alpha_mismatch_rejected():
+    # the scheme's order and the problem's source/exact solution must agree
+    prob = example1(0.7)
+    config = SolverConfig(alpha=0.4, mesh=build_mesh(1.0, 4, 1.0),
+                          spatial=uniform_mesh(0.0, 1.0, 8))
+    with pytest.raises(ValueError, match=r"config\.alpha = 0\.4 .* problem\.alpha = 0\.7"):
+        init_state(prob, config)
+    with pytest.raises(ValueError, match="alpha"):
+        solve(prob, config)
 
 
 def test_alpha_validation():
