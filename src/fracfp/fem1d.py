@@ -36,6 +36,7 @@ __all__ = [
 # 2-point and 4-point Gauss-Legendre rules on [-1, 1]
 _G2 = 1.0 / math.sqrt(3.0)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+_GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 class BcMode(Enum):
@@ -270,17 +271,18 @@ def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
 def thomas_solve(A: TriDiagMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system A x = rhs.
 
-    Backed by LAPACK's banded elimination; raises SingularSystemError on a
-    zero pivot (exactly singular systems).
+    Backed by LAPACK's gtsv (elimination with partial pivoting); raises
+    SingularSystemError on a zero pivot (exactly singular systems).
     """
     b = np.asarray(rhs, dtype=float)
     if b.shape != A.diag.shape:
         raise ValueError(f"rhs length {b.size} does not match system size {A.n}")
-    ab = np.zeros((3, A.n))
-    ab[0, 1:] = A.sup
-    ab[1] = A.diag
-    ab[2, :-1] = A.sub
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, b, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"tridiagonal solve failed: {exc}") from exc
+    if A.n == 1:
+        # the gtsv wrapper rejects empty off-diagonal bands
+        info = int(A.diag[0] == 0.0)
+        x = b / A.diag if info == 0 else b
+    else:
+        _, _, _, x, info = _GTSV(A.sub, A.diag, A.sup, b)
+    if info > 0:
+        raise SingularSystemError(f"tridiagonal solve failed: zero pivot at row {info}")
+    return x

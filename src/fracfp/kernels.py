@@ -28,6 +28,8 @@ __all__ = [
 # 3-point Gauss-Legendre rule on [-1, 1], exact through degree 5.
 _GL3_X = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL3_W = np.array([5.0, 8.0, 5.0]) / 9.0
+# tensor weights of the 3x3 rule, node pair (a, b) at index 3 a + b
+_GL3_WW = np.outer(_GL3_W, _GL3_W).ravel()
 
 # Switch from closed-form differences to Gauss quadrature once the interval
 # sits this many widths away from the origin (or from the other interval).
@@ -132,11 +134,11 @@ def conv_weights(mesh: GradedMesh, alpha: float, n: int) -> np.ndarray:
         sig = 0.5 * (tn + tnm1) + (0.5 * taun) * _GL3_X
         smid = 0.5 * (tj[use_gauss] + tjm1[use_gauss])
         shalf = 0.5 * tauj[use_gauss]
-        s = smid[:, None] + shalf[:, None] * _GL3_X
-        diff = sig[None, None, :] - s[:, :, None]
-        vals = diff ** (alpha - 1.0) * rgamma(alpha)
-        inner = vals @ _GL3_W
-        w[use_gauss] = (0.5 * taun) * shalf * (inner @ _GL3_W)
+        s = smid + shalf * _GL3_X[:, None]
+        # (9, k): node pairs (a, b) by rows, history intervals contiguous
+        diff = (sig[None, :, None] - s[:, None, :]).reshape(9, -1)
+        np.power(diff, alpha - 1.0, out=diff)
+        w[use_gauss] = (_GL3_WW @ diff) * shalf * (0.5 * taun * rgamma(alpha))
     return w
 
 

@@ -3,6 +3,10 @@
 Per step: assemble the advection-diffusion matrix at the midpoint-averaged
 drift, form S^n = M + (tau_n^alpha/Gamma(alpha+2)) G^n, accumulate the
 convolution history of increments, solve the tridiagonal system, advance.
+
+The history sum is exact and runs in blocks of _BLOCK steps (see step), so
+the stored increments are read once per block rather than once per step.
+Increments and trajectory share one (N+1) x (M_x+1) buffer.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .fem1d import (
     project_initial,
     thomas_solve,
     to_dof,
-    to_full,
 )
 from .kernels import ConvolutionWeights
 from .timegrid import GradedMesh, check_step_assumption
@@ -40,6 +43,10 @@ __all__ = [
 ]
 
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+
+# steps whose history over the increments stored before them is summed in
+# one matrix product
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -80,19 +87,32 @@ class Trajectory:
 
 @dataclass
 class SolverState:
-    """Mutable per-solve state: completed step count, increment history,
-    current solution, and the matrices/weights shared by every step (the
-    source load is assembled afresh per step by assemble_source).
+    """Mutable per-solve state: completed step count, increments, current
+    solution, the matrices/weights shared by every step (the source load is
+    assembled afresh per step by assemble_source), and the open history block.
+
+    W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
+    nodal U^0 and row n the increment W^n = U^n - U^(n-1) at the unknowns
+    (Dirichlet boundary columns stay zero).  solve sums it in place into the
+    trajectory U^0..U^N.  For the steps s..s+_BLOCK-1 of the open block,
+    hist_old[n-s] is sum_{j<s} (w_{n,j}/tau_j) W^j and hist_tail[n-s, :n-s]
+    are the weights w_{n,j}/tau_j for j = s..n-1.
     """
 
     n: int
     bc: BcMode
     U0_dof: np.ndarray
     U_dof: np.ndarray
-    U_full: np.ndarray
     W: np.ndarray
     mass: TriDiagMatrix
     cw: ConvolutionWeights
+    hist_old: np.ndarray
+    hist_tail: np.ndarray
+
+
+def _dofs(bc: BcMode) -> slice:
+    """Columns of a full nodal vector that hold the unknowns."""
+    return slice(1, -1) if bc is BcMode.DIRICHLET else slice(None)
 
 
 def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
@@ -171,23 +191,42 @@ def init_state(problem, config: SolverConfig) -> SolverState:
     )
     N = config.mesh.N
     U0_dof = to_dof(U0_full, bc)
-    U_full = np.zeros((N + 1, space.M_x + 1))
-    U_full[0] = U0_full
+    W = np.zeros((N + 1, space.M_x + 1))
+    W[0] = U0_full
     return SolverState(
         n=0,
         bc=bc,
         U0_dof=U0_dof,
         U_dof=U0_dof.copy(),
-        U_full=U_full,
-        W=np.zeros((N, U0_dof.size)),
+        W=W,
         mass=assemble_mass(space, bc),
         cw=ConvolutionWeights(config.mesh, config.alpha),
+        hist_old=np.empty((0, U0_dof.size)),
+        hist_tail=np.empty((0, 0)),
     )
+
+
+def _open_block(state: SolverState, tmesh: GradedMesh, s: int) -> None:
+    """Weights of steps s..s+_BLOCK-1 (one row call each) and their history
+    over W^1..W^{s-1}, summed in one matrix product."""
+    ms = range(s, min(s + _BLOCK, tmesh.N + 1))
+    coeff = np.zeros((len(ms), s - 1 + len(ms)))
+    for i, m in enumerate(ms):
+        coeff[i, : m - 1] = state.cw.row(m) / tmesh.steps[: m - 1]
+    state.hist_old = coeff[:, : s - 1] @ state.W[1:s, _dofs(state.bc)]
+    state.hist_tail = coeff[:, s - 1 :]
 
 
 def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     """Advance one time level: solve S^n W^n = f^n - w0(n) G^n U^0 - G^n H^n
-    with the history vector H^n = sum_{j<n} (w_{n,j}/tau_j) W^j.
+    with the history vector H^n = sum_{j<n} (w_{n,j}/tau_j) W^j, and store
+    W^n in row n of state.W.
+
+    H^n is exact.  The first step of each block of _BLOCK steps takes the
+    weight rows of all the block's steps and sums their history over the
+    increments stored before the block in one matrix product, so the stored
+    increments are read once per block; each step then adds at most
+    _BLOCK - 1 terms over the block's own increments.
 
     Raises FloatingPointError, naming n and t_n, if W^n is not finite.
     """
@@ -204,17 +243,19 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
 
     fvec = to_dof(assemble_source(problem, config.spatial, (t0, t1)), state.bc)
 
-    hist = state.cw.w0(n) * state.U0_dof
-    if n >= 2:
-        coeff = state.cw.row(n) / tmesh.steps[: n - 1]
-        hist = hist + coeff @ state.W[: n - 1]
+    s = n - (n - 1) % _BLOCK
+    if s == n:
+        _open_block(state, tmesh, s)
+    i = n - s
+    W = state.W[:, _dofs(state.bc)]
+    hist = state.cw.w0(n) * state.U0_dof + (
+        state.hist_old[i] + state.hist_tail[i, :i] @ W[s:n])
 
     Wn = thomas_solve(S, fvec - G.matvec(hist))
     if not np.isfinite(Wn).all():
         raise FloatingPointError(f"non-finite solution at step n = {n}, t_n = {t1:.6g}")
-    state.W[n - 1] = Wn
+    W[n] = Wn
     state.U_dof = state.U_dof + Wn
-    state.U_full[n] = to_full(state.U_dof, state.bc)
     state.n = n
     return state
 
@@ -234,7 +275,9 @@ def _stability_inputs(problem, config: SolverConfig):
 
 
 def solve(problem, config: SolverConfig) -> Trajectory:
-    """Run the full L1 sweep; O(N^2 d_h) time, O(N d_h) memory for history.
+    """Run the full L1 sweep: O(N^2 d_h) time, with the stored increments
+    read once per block of _BLOCK steps; memory is one (N+1) x (M_x+1)
+    buffer, whose increment rows become the trajectory in place.
 
     Emits a warning (never an error) when the mesh fails the sufficient
     step-size condition for the discrete stability bound.
@@ -250,5 +293,9 @@ def solve(problem, config: SolverConfig) -> Trajectory:
     state = init_state(problem, config)
     for _ in range(config.mesh.N):
         step(state, config, problem)
-    return Trajectory(times=config.mesh.nodes.copy(), values=state.U_full,
+    # U^n = U^0 + W^1 + ... + W^n, added in step order; row 0 (full U^0) and
+    # the Dirichlet boundary columns (zero for n >= 1) are left as they are
+    W = state.W[:, _dofs(state.bc)]
+    np.cumsum(W, axis=0, out=W)
+    return Trajectory(times=config.mesh.nodes.copy(), values=state.W,
                       spatial=config.spatial)

@@ -172,6 +172,44 @@ def cn_reference(nodes: np.ndarray, times: np.ndarray, u0_full: np.ndarray,
     return vals
 
 
+def direct_l1_solve(problem, config) -> np.ndarray:
+    """Full nodal trajectory U^0..U^N of the L1 scheme, history summed
+    directly: one dot product of the weight row with all stored increments
+    per step.  Same building blocks as fracfp.solve, no blocking, separate
+    increment and trajectory arrays.
+    """
+    from fracfp import (ConvolutionWeights, assemble_G, assemble_mass, assemble_source,
+                        project_initial, thomas_solve, to_dof, to_full)
+
+    bc = config.bc if config.bc is not None else problem.bc
+    proj = config.projection if config.projection is not None else problem.default_projection
+    space, tmesh = config.spatial, config.mesh
+    N = tmesh.N
+    U0_full = project_initial(problem.u0, space, bc, proj, kappa=problem.kappa,
+                              u0_prime=problem.u0_prime)
+    U0 = to_dof(U0_full, bc)
+    U = U0.copy()
+    W = np.zeros((N, U0.size))
+    vals = np.zeros((N + 1, space.M_x + 1))
+    vals[0] = U0_full
+    mass = assemble_mass(space, bc)
+    cw = ConvolutionWeights(tmesh, config.alpha)
+    F = problem.drift
+    for n in range(1, N + 1):
+        t0, t1 = tmesh.nodes[n - 1], tmesh.nodes[n]
+        davg = None if F is None else (lambda x, _a=t0, _b=t1: 0.5 * (F(x, _a) + F(x, _b)))
+        G = assemble_G(space, bc, problem.kappa, davg)
+        S = mass.plus_scaled(G, cw.d(n))
+        fvec = to_dof(assemble_source(problem, space, (t0, t1)), bc)
+        hist = cw.w0(n) * U0
+        if n >= 2:
+            hist = hist + (cw.row(n) / tmesh.steps[: n - 1]) @ W[: n - 1]
+        W[n - 1] = thomas_solve(S, fvec - G.matvec(hist))
+        U = U + W[n - 1]
+        vals[n] = to_full(U, bc)
+    return vals
+
+
 def source_integral_oracle(f, rho, nodes: np.ndarray, t0: float, t1: float) -> np.ndarray:
     """int_{t0}^{t1} <f, phi_p> dt with QUADPACK in both variables.
 

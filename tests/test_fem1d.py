@@ -117,6 +117,18 @@ def test_thomas_singular_raises():
         thomas_solve(K, np.zeros(K.n))
 
 
+def test_thomas_single_unknown():
+    # Dirichlet on two elements leaves one unknown
+    mesh = uniform_mesh(0.0, 1.0, 2)
+    A = assemble_mass(mesh, BcMode.DIRICHLET)
+    assert A.n == 1
+    np.testing.assert_allclose(thomas_solve(A, np.array([1.5])), [1.5 / A.diag[0]], rtol=1e-15)
+    with pytest.raises(SingularSystemError):
+        thomas_solve(A.plus_scaled(A, -1.0), np.array([1.0]))
+    with pytest.raises(ValueError, match="does not match"):
+        thomas_solve(A, np.ones(2))
+
+
 def test_l2_norm_values():
     mesh = uniform_mesh(0.0, 1.0, 16)
     assert l2_norm(np.ones(17), mesh) == pytest.approx(1.0, rel=1e-14)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfcx, rgamma
 
 from fracfp import (
@@ -81,6 +83,23 @@ def test_weights_positive_and_telescoping(alpha, gamma):
     mesh = build_mesh(1.0, 64, gamma)
     t = mesh.nodes
     for n in range(2, 65):
+        w = conv_weights(mesh, alpha, n)
+        assert np.all(w > 0.0)
+        want = (omega(alpha + 2.0, t[n]) - omega(alpha + 2.0, t[n - 1])
+                - omega(alpha + 2.0, t[n] - t[n - 1]))
+        assert w.sum() == pytest.approx(want, rel=1e-10)
+
+
+@given(alpha=st.floats(min_value=0.05, max_value=1.0),
+       gamma=st.floats(min_value=1.0, max_value=4.0),
+       N=st.integers(min_value=2, max_value=600),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_weights_positive_and_telescoping_property(alpha, gamma, N, data):
+    # the last row reaches deepest into the far-field (Gauss) branch
+    mesh = build_mesh(1.0, N, gamma)
+    t = mesh.nodes
+    for n in {N, data.draw(st.integers(min_value=2, max_value=N), label="n")}:
         w = conv_weights(mesh, alpha, n)
         assert np.all(w > 0.0)
         want = (omega(alpha + 2.0, t[n]) - omega(alpha + 2.0, t[n - 1])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfp import (
     BcMode,
@@ -14,13 +16,15 @@ from fracfp import (
     example1,
     init_state,
     load_vector,
+    project_initial,
     solve,
     step,
     to_dof,
     uniform_mesh,
 )
 
-from oracles import cn_reference, source_integral_oracle, source_integral_singular
+from fracfp.stepper import _BLOCK
+from oracles import cn_reference, direct_l1_solve, source_integral_oracle, source_integral_singular
 
 pytestmark = pytest.mark.filterwarnings("ignore:time mesh violates")
 
@@ -180,7 +184,7 @@ def test_nonfinite_state_names_step():
     state = init_state(prob, config)
     for _ in range(4):
         step(state, config, prob)
-    assert np.isfinite(state.U_full[4]).all()
+    assert np.isfinite(state.U_dof).all()
     with pytest.raises(FloatingPointError, match=r"n = 5, t_n = 0\.625"):
         step(state, config, prob)
     with pytest.raises(FloatingPointError, match=r"n = 5"):
@@ -232,6 +236,51 @@ def test_mass_conservation_zero_flux():
     np.testing.assert_allclose(totals, totals[0], atol=1e-13)
 
 
+# first block, its edges, and partial later blocks
+_BLOCK_NS = sorted({1, 15, 16, 17, 50, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5})
+
+
+@pytest.mark.parametrize("bc", [BcMode.DIRICHLET, BcMode.ZERO_FLUX])
+@pytest.mark.parametrize("N", _BLOCK_NS)
+def test_blocked_history_matches_direct_sum(bc, N):
+    # u0(0) = u0(1) = 1, so the Dirichlet projection has nonzero ends
+    prob = make_problem(bc=bc, drift=lambda x, t: np.sin(t) - x,
+                        u0=lambda x: 1.0 + x * (1.0 - x),
+                        f=lambda x, t: np.cos(3.0 * t) * np.exp(-np.asarray(x)))
+    config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, N, 2.5),
+                          spatial=uniform_mesh(0.0, 1.0, 24), check_step_size=False)
+    got = solve(prob, config).values
+    want = direct_l1_solve(prob, config)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_dirichlet_trajectory_keeps_projected_start():
+    prob = make_problem(u0=lambda x: 1.0 + x * (1.0 - x))
+    space = uniform_mesh(0.0, 1.0, 20)
+    # the nodal projection keeps u0's nonzero boundary values
+    config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, _BLOCK + 3, 2.0), spatial=space,
+                          check_step_size=False)
+    values = solve(prob, config).values
+    np.testing.assert_array_equal(
+        values[0], project_initial(prob.u0, space, BcMode.DIRICHLET, "nodal"))
+    assert values[0, 0] != 0.0 and values[0, -1] != 0.0
+    assert np.all(values[1:, [0, -1]] == 0.0)
+
+
+@given(alpha=st.floats(min_value=0.1, max_value=1.0),
+       gamma=st.floats(min_value=1.0, max_value=3.0),
+       N=st.integers(min_value=1, max_value=3 * _BLOCK + 1))
+@settings(max_examples=25, deadline=None)
+def test_mass_conservation_zero_flux_property(alpha, gamma, N):
+    space = uniform_mesh(0.0, 1.0, 16)
+    prob = make_problem(alpha=alpha, bc=BcMode.ZERO_FLUX, drift=lambda x, t: np.sin(t) - x,
+                        u0=lambda x: x * (1.0 - x))
+    traj = solve(prob, SolverConfig(alpha=alpha, mesh=build_mesh(1.0, N, gamma),
+                                    spatial=space, check_step_size=False))
+    totals = traj.values @ assemble_mass(space, BcMode.ZERO_FLUX).matvec(np.ones(17))
+    np.testing.assert_allclose(totals, totals[0], atol=1e-13)
+
+
 def test_trajectory_shape_and_start():
     prob = make_problem(u0=lambda x: np.sin(np.pi * np.asarray(x)))
     space = uniform_mesh(0.0, 1.0, 20)
@@ -259,7 +308,7 @@ def test_init_state_and_overrides():
                           projection="l2", check_step_size=False)
     state = init_state(prob, config)
     # l2 projection of a quadratic differs from its nodal samples
-    assert np.abs(state.U_full[0] - prob.u0(space.nodes)).max() > 1e-6
+    assert np.abs(state.W[0] - prob.u0(space.nodes)).max() > 1e-6
     assert state.n == 0
 
     bad_space = uniform_mesh(0.0, 2.0, 16)
