@@ -27,7 +27,6 @@ from .harness import (
 )
 from .kernels import (
     ConvolutionWeights,
-    conv_weights,
     interp_probe,
     mittag_leffler,
     omega,
@@ -42,7 +41,7 @@ from .problems import (
     example2,
 )
 from .stepper import SolverConfig, SolverState, Trajectory, assemble_source, init_state, solve, step
-from .timegrid import GradedMesh, build_mesh, check_mesh_properties, check_step_assumption
+from .timegrid import GradedMesh, build_mesh, check_step_assumption
 
 __version__ = "0.1.0"
 
@@ -67,11 +66,9 @@ __all__ = [
     "assemble_mass",
     "assemble_source",
     "build_mesh",
-    "check_mesh_properties",
     "check_step_assumption",
     "compute_errors",
     "compute_rate",
-    "conv_weights",
     "example1",
     "example2",
     "init_state",

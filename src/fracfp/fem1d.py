@@ -60,10 +60,6 @@ class SpatialMesh:
     h: float
     nodes: np.ndarray
 
-    def d_h(self, bc: BcMode) -> int:
-        """Unknown count: interior nodes for Dirichlet, all nodes for zero-flux."""
-        return self.M_x - 1 if bc is BcMode.DIRICHLET else self.M_x + 1
-
 
 def uniform_mesh(a: float, b: float, m: int) -> SpatialMesh:
     if not b > a:
@@ -99,9 +95,6 @@ class TriDiagMatrix:
         return TriDiagMatrix(
             self.sub + c * other.sub, self.diag + c * other.diag, self.sup + c * other.sup
         )
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.sub, -1) + np.diag(self.sup, 1)
 
 
 def _restrict(full: TriDiagMatrix, bc: BcMode) -> TriDiagMatrix:

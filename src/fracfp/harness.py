@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -179,9 +179,11 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
               keep_traces: bool = False) -> ConvergenceReport:
     """One solver run per (alpha, gamma, N); rows sorted; rates attached.
 
-    A row's rate compares it with the (alpha, gamma, 2N) row, so it is only
-    present when that row exists and both errors are positive.  Any solver
-    failure is caught and recorded on the row (see ConvergenceReport.ok).
+    bc and projection, when given, replace the problem's own bc and
+    default_projection for every solve.  A row's rate compares it with the
+    (alpha, gamma, 2N) row, so it is only present when that row exists and
+    both errors are positive.  Any solver failure is caught and recorded on
+    the row (see ConvergenceReport.ok).
     """
     factory = _PROBLEMS[problem] if isinstance(problem, str) else problem
     pname = problem if isinstance(problem, str) else getattr(factory, "__name__", "custom")
@@ -190,6 +192,8 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
     for alpha in sorted(alphas):
         try:
             prob = factory(alpha)
+            prob = replace(prob, bc=bc or prob.bc,
+                           default_projection=projection or prob.default_projection)
         except Exception as exc:  # noqa: BLE001 - report, don't abort the study
             for gamma in sorted(gammas):
                 for N in sorted(Ns):
@@ -204,8 +208,7 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
                 start = time.perf_counter()
                 try:
                     tmesh = build_mesh(prob.T, int(N), gamma)
-                    config = SolverConfig(alpha=alpha, mesh=tmesh, spatial=space,
-                                          bc=bc, projection=projection)
+                    config = SolverConfig(alpha=alpha, mesh=tmesh, spatial=space)
                     traj = solve(prob, config)
                     row.eps, row.weps, trace = compute_errors(traj, prob)
                     if keep_traces:

@@ -19,7 +19,6 @@ from .timegrid import GradedMesh
 __all__ = [
     "omega",
     "omega_increment",
-    "conv_weights",
     "ConvolutionWeights",
     "mittag_leffler",
     "interp_probe",
@@ -98,50 +97,6 @@ def omega_increment(beta: float, a, b):
     return float(out[0]) if scalar else out
 
 
-def conv_weights(mesh: GradedMesh, alpha: float, n: int) -> np.ndarray:
-    """Row of L1 convolution weights w_{n,j} for j = 1..n-1.
-
-    w_{n,j} = int_{I_j} int_{I_n} omega_alpha(sig - s) dsig ds.  Evaluated
-    from increments of omega_{alpha+2} where that is stable and by a tensor
-    3x3 Gauss rule on the double integral once I_j lies far behind I_n.
-    All weights are positive.
-    """
-    _check_alpha(alpha)
-    if n < 2 or n > mesh.N:
-        raise IndexError(f"weight row defined for 2 <= n <= {mesh.N}, got n = {n}")
-    t = mesh.nodes
-    tau = mesh.steps
-    tn, tnm1, taun = t[n], t[n - 1], tau[n - 1]
-    tj = t[1:n]
-    tjm1 = t[0 : n - 1]
-    tauj = tau[0 : n - 1]
-
-    gap = tnm1 - tj
-    use_gauss = gap > _FAR_RATIO * (taun + tauj)
-    w = np.empty(n - 1)
-
-    direct = ~use_gauss
-    if direct.any():
-        e = alpha + 1.0
-        rg = rgamma(alpha + 2.0)
-        w[direct] = (
-            (tn - tjm1[direct]) ** e
-            - (tnm1 - tjm1[direct]) ** e
-            - (tn - tj[direct]) ** e
-            + (tnm1 - tj[direct]) ** e
-        ) * rg
-    if use_gauss.any():
-        sig = 0.5 * (tn + tnm1) + (0.5 * taun) * _GL3_X
-        smid = 0.5 * (tj[use_gauss] + tjm1[use_gauss])
-        shalf = 0.5 * tauj[use_gauss]
-        s = smid + shalf * _GL3_X[:, None]
-        # (9, k): node pairs (a, b) by rows, history intervals contiguous
-        diff = (sig[None, :, None] - s[:, None, :]).reshape(9, -1)
-        np.power(diff, alpha - 1.0, out=diff)
-        w[use_gauss] = (_GL3_WW @ diff) * shalf * (0.5 * taun * rgamma(alpha))
-    return w
-
-
 @dataclass(frozen=True)
 class ConvolutionWeights:
     """Accessors for the L1 weight structure on one time mesh."""
@@ -157,11 +112,46 @@ class ConvolutionWeights:
             raise IndexError(f"need 1 <= n <= {self.mesh.N}, got n = {n}")
 
     def row(self, n: int) -> np.ndarray:
-        """History weights w_{n,j}, j = 1..n-1 (empty for n = 1)."""
+        """History weights w_{n,j}, j = 1..n-1 (empty for n = 1).
+
+        w_{n,j} = int_{I_j} int_{I_n} omega_alpha(sig - s) dsig ds.  Evaluated
+        from increments of omega_{alpha+2} where that is stable and by a
+        tensor 3x3 Gauss rule on the double integral once I_j lies far
+        behind I_n.  All weights are positive.
+        """
         self._check_n(n)
-        if n == 1:
-            return np.empty(0)
-        return conv_weights(self.mesh, self.alpha, n)
+        alpha = self.alpha
+        t = self.mesh.nodes
+        tau = self.mesh.steps
+        tn, tnm1, taun = t[n], t[n - 1], tau[n - 1]
+        tj = t[1:n]
+        tjm1 = t[0 : n - 1]
+        tauj = tau[0 : n - 1]
+
+        gap = tnm1 - tj
+        use_gauss = gap > _FAR_RATIO * (taun + tauj)
+        w = np.empty(n - 1)
+
+        direct = ~use_gauss
+        if direct.any():
+            e = alpha + 1.0
+            rg = rgamma(alpha + 2.0)
+            w[direct] = (
+                (tn - tjm1[direct]) ** e
+                - (tnm1 - tjm1[direct]) ** e
+                - (tn - tj[direct]) ** e
+                + (tnm1 - tj[direct]) ** e
+            ) * rg
+        if use_gauss.any():
+            sig = 0.5 * (tn + tnm1) + (0.5 * taun) * _GL3_X
+            smid = 0.5 * (tj[use_gauss] + tjm1[use_gauss])
+            shalf = 0.5 * tauj[use_gauss]
+            s = smid + shalf * _GL3_X[:, None]
+            # (9, k): node pairs (a, b) by rows, history intervals contiguous
+            diff = (sig[None, :, None] - s[:, None, :]).reshape(9, -1)
+            np.power(diff, alpha - 1.0, out=diff)
+            w[use_gauss] = (_GL3_WW @ diff) * shalf * (0.5 * taun * rgamma(alpha))
+        return w
 
     def w0(self, n: int) -> float:
         """Initial-data weight omega_{alpha+1}(t_n) - omega_{alpha+1}(t_{n-1})."""
@@ -410,14 +400,12 @@ def interp_probe(nu: float, alpha: float, mesh: GradedMesh) -> float:
     A = gnu * omega_increment(nu + alpha + 1.0, t[:-1], t[1:])
     dg = gnu * omega_increment(nu + 1.0, t[:-1], t[1:])
     dref = dg / tau
-    c = float(rgamma(alpha + 2.0))
+    cw = ConvolutionWeights(mesh, alpha)
 
     total = 0.0
     for j in range(1, mesh.N + 1):
-        own = tau[j - 1] ** alpha * c * dg[j - 1]
-        hist = 0.0
-        if j >= 2:
-            hist = conv_weights(mesh, alpha, j) @ dref[: j - 1]
+        own = cw.d(j) * dg[j - 1]
+        hist = cw.row(j) @ dref[: j - 1]
         r = A[j - 1] - (hist + own)
         total += r * r / tau[j - 1]
     return float(total)

@@ -64,9 +64,6 @@ class SeriesTruncation:
     order: int = 6
 
 
-_DEFAULT_TRUNC = SeriesTruncation()
-
-
 # ---------------------------------------------------------------------------
 # sine mode sums on cached grids
 # ---------------------------------------------------------------------------
@@ -366,7 +363,8 @@ class ProblemSpec:
     t**rho factor (the source quadrature prefers f_regular when present);
     flux_regular is a flux g whose x-derivative is part of the source, which
     the stepper assembles as -<g, phi'> + [g phi] without differentiating g.
-    exact, u0_prime, f, f_regular, flux_regular may be None.
+    exact, u0_prime, f, f_regular, flux_regular may be None; with any source
+    given, rho <= -1 (not integrable at t = 0) is rejected here.
     """
 
     name: str
@@ -383,16 +381,19 @@ class ProblemSpec:
     exact: Optional[Callable]
     bc: BcMode
     default_projection: str
-    series: Optional[SineSeries] = None
-    trunc: SeriesTruncation = _DEFAULT_TRUNC
     flux_regular: Optional[Callable] = None
+
+    def __post_init__(self):
+        has_source = any(fn is not None for fn in (self.f, self.f_regular, self.flux_regular))
+        if has_source and float(self.rho or 0.0) <= -1.0:
+            raise ValueError(f"temporal exponent rho = {self.rho} is not integrable")
 
 
 def _series_problem(name: str, alpha: float, series: SineSeries,
                     default_projection: str, trunc: Optional[SeriesTruncation]) -> ProblemSpec:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"the manufactured problems require 0 < alpha < 1, got {alpha}")
-    tr = trunc or _DEFAULT_TRUNC
+    tr = trunc or SeriesTruncation()
     grids: list = []  # shared by exact and flux_regular
 
     def exact(x, t):
@@ -431,8 +432,6 @@ def _series_problem(name: str, alpha: float, series: SineSeries,
         exact=exact,
         bc=BcMode.DIRICHLET,
         default_projection=default_projection,
-        series=series,
-        trunc=tr,
         flux_regular=flux_regular,
     )
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,18 +50,16 @@ _BLOCK = 32
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """What the driver needs besides the problem itself.
+    """The discretisation: graded time mesh and P1 space.
 
-    bc and projection default to the problem's own choices when None.
-    check_step_size only controls the advisory warning, never the run.
+    Boundary condition and initial projection belong to the problem
+    (ProblemSpec.bc, ProblemSpec.default_projection); alpha must equal the
+    problem's.
     """
 
     alpha: float
     mesh: GradedMesh
     spatial: SpatialMesh
-    bc: Optional[BcMode] = None
-    projection: Optional[str] = None
-    check_step_size: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -71,8 +68,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time stamps, full nodal vectors U^0..U^N (Dirichlet rows keep zero
-    boundary entries), and the spatial mesh they live on."""
+    """Time stamps, full nodal vectors U^0..U^N, and the spatial mesh they
+    live on.  Under Dirichlet conditions row 0 keeps the projected boundary
+    values and rows 1..N have zero boundary entries."""
 
     times: np.ndarray
     values: np.ndarray
@@ -128,15 +126,13 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
     endpoint terms included.  The time rule is 8-point Gauss in the
     substituted variable s = t**(rho+1); space uses 4-point Gauss per
     element.  Relative accuracy on the built-in manufactured sources is
-    validated against adaptive quadrature in the tests.  Raises for
-    rho <= -1 (non-integrable).
+    validated against adaptive quadrature in the tests.  ProblemSpec
+    rejects rho <= -1 (non-integrable) when it is built.
     """
     if all(fn is None for fn in (problem.f, problem.f_regular, problem.flux_regular)):
         return np.zeros(spatial.M_x + 1)
     t0, t1 = interval
     rho = float(problem.rho or 0.0)
-    if rho <= -1.0:
-        raise ValueError(f"temporal exponent rho = {rho} is not integrable")
     if not 0.0 <= t0 < t1:
         raise ValueError(f"bad time interval ({t0}, {t1})")
     q = rho + 1.0
@@ -166,29 +162,25 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
     return load_from_values(spatial, values, flux, ends) * (shalf / q)
 
 
-def _resolve(problem, config: SolverConfig):
-    bc = config.bc if config.bc is not None else problem.bc
-    proj = config.projection if config.projection is not None else problem.default_projection
-    return bc, proj
-
-
 def init_state(problem, config: SolverConfig) -> SolverState:
     """Project the initial datum and allocate the solve state.
 
-    Raises ValueError when config.alpha and problem.alpha differ: the scheme
-    and the problem's source and exact solution must share one order.
+    Raises ValueError when config.alpha and problem.alpha differ (the scheme
+    and the problem's source and exact solution must share one order), or
+    when the spatial mesh's ends miss the problem domain's by more than
+    1e-12 relative.
     """
     if config.alpha != problem.alpha:
         raise ValueError(f"config.alpha = {config.alpha} differs from "
                          f"problem.alpha = {problem.alpha}")
     space = config.spatial
     a, b = problem.domain
-    if not (np.isclose(space.a, a) and np.isclose(space.b, b)):
+    tol = 1e-12 * max(abs(a), abs(b))
+    if abs(space.a - a) > tol or abs(space.b - b) > tol:
         raise ValueError(f"spatial mesh [{space.a}, {space.b}] does not cover the problem domain [{a}, {b}]")
-    bc, proj = _resolve(problem, config)
-    U0_full = project_initial(
-        problem.u0, space, bc, proj, kappa=problem.kappa, u0_prime=problem.u0_prime
-    )
+    bc = problem.bc
+    U0_full = project_initial(problem.u0, space, bc, problem.default_projection,
+                              kappa=problem.kappa, u0_prime=problem.u0_prime)
     N = config.mesh.N
     U0_dof = to_dof(U0_full, bc)
     W = np.zeros((N + 1, space.M_x + 1))
@@ -279,17 +271,17 @@ def solve(problem, config: SolverConfig) -> Trajectory:
     read once per block of _BLOCK steps; memory is one (N+1) x (M_x+1)
     buffer, whose increment rows become the trajectory in place.
 
-    Emits a warning (never an error) when the mesh fails the sufficient
-    step-size condition for the discrete stability bound.
+    Emits a UserWarning (never an error) when the mesh fails the sufficient
+    step-size condition for the discrete stability bound; filter it with
+    warnings.filterwarnings("ignore", "time mesh violates").
     """
-    if config.check_step_size:
-        c0, kmin = _stability_inputs(problem, config)
-        if not check_step_assumption(config.mesh, config.alpha, c0, kmin):
-            warnings.warn(
-                "time mesh violates the sufficient step-size condition; "
-                "the discrete stability bound is not guaranteed",
-                stacklevel=2,
-            )
+    c0, kmin = _stability_inputs(problem, config)
+    if not check_step_assumption(config.mesh, config.alpha, c0, kmin):
+        warnings.warn(
+            "time mesh violates the sufficient step-size condition; "
+            "the discrete stability bound is not guaranteed",
+            stacklevel=2,
+        )
     state = init_state(problem, config)
     for _ in range(config.mesh.N):
         step(state, config, problem)

@@ -20,19 +20,6 @@ class GradedMesh:
     nodes: np.ndarray   # shape (N+1,), nodes[0] = 0, nodes[N] = T
     steps: np.ndarray   # shape (N,), steps[i] = nodes[i+1] - nodes[i]
 
-    @property
-    def tau(self) -> float:
-        return self.T ** (1.0 / self.gamma) / self.N
-
-
-@dataclass(frozen=True)
-class MeshPropertyReport:
-    doubling: bool      # t_n <= 2**gamma * t_{n-1} for n >= 2
-    step_bracket: bool  # gamma*tau*t_{n-1}^{1-1/gamma} <= tau_n <= gamma*tau*t_n^{1-1/gamma}
-
-    def __bool__(self) -> bool:
-        return self.doubling and self.step_bracket
-
 
 def build_mesh(T: float, N: int, gamma: float) -> GradedMesh:
     """Build the graded mesh with nodes t_i = (i*tau)**gamma, tau = T**(1/gamma)/N.
@@ -55,29 +42,6 @@ def build_mesh(T: float, N: int, gamma: float) -> GradedMesh:
     if np.any(steps <= 0):
         raise ValueError("mesh nodes are not strictly increasing")
     return GradedMesh(T=float(T), N=int(N), gamma=float(gamma), nodes=nodes, steps=steps)
-
-
-def check_mesh_properties(mesh: GradedMesh, rtol: float = 1e-12) -> MeshPropertyReport:
-    """Verify the two grading inequalities used by the step-size analysis.
-
-    For n >= 2: t_n <= 2**gamma * t_{n-1}, and for n >= 1 the step bracket
-    gamma*tau*t_{n-1}^{1-1/gamma} <= tau_n <= gamma*tau*t_n^{1-1/gamma}.
-    A relative slack `rtol` absorbs roundoff.
-    """
-    t = mesh.nodes
-    tau_n = np.diff(t)
-    g = mesh.gamma
-    tau = mesh.tau
-
-    doubling = bool(np.all(t[2:] <= (2.0 ** g) * t[1:-1] * (1.0 + rtol)))
-
-    expo = 1.0 - 1.0 / g
-    lo = g * tau * t[:-1] ** expo
-    hi = g * tau * t[1:] ** expo
-    step_bracket = bool(
-        np.all(lo <= tau_n * (1.0 + rtol)) and np.all(tau_n <= hi * (1.0 + rtol))
-    )
-    return MeshPropertyReport(doubling=doubling, step_bracket=step_bracket)
 
 
 def check_step_assumption(

@@ -96,6 +96,11 @@ def series_u_oracle(amplitude: float, power: int, alternating: bool,
     return total + comp
 
 
+def tridiag_dense(A) -> np.ndarray:
+    """Dense copy of a TriDiagMatrix."""
+    return np.diag(A.diag) + np.diag(A.sub, -1) + np.diag(A.sup, 1)
+
+
 def dense_matrices(nodes: np.ndarray, kappa, drift_avg):
     """Dense mass and transport matrices by per-element Gauss quadrature.
 
@@ -181,12 +186,11 @@ def direct_l1_solve(problem, config) -> np.ndarray:
     from fracfp import (ConvolutionWeights, assemble_G, assemble_mass, assemble_source,
                         project_initial, thomas_solve, to_dof, to_full)
 
-    bc = config.bc if config.bc is not None else problem.bc
-    proj = config.projection if config.projection is not None else problem.default_projection
+    bc = problem.bc
     space, tmesh = config.spatial, config.mesh
     N = tmesh.N
-    U0_full = project_initial(problem.u0, space, bc, proj, kappa=problem.kappa,
-                              u0_prime=problem.u0_prime)
+    U0_full = project_initial(problem.u0, space, bc, problem.default_projection,
+                              kappa=problem.kappa, u0_prime=problem.u0_prime)
     U0 = to_dof(U0_full, bc)
     U = U0.copy()
     W = np.zeros((N, U0.size))

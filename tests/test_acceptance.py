@@ -32,8 +32,6 @@ from fracfp import (
 
 from oracles import cn_reference, ml_oracle
 
-pytestmark = pytest.mark.filterwarnings("ignore:time mesh violates")
-
 
 # --- reference data -------------------------------------------------------
 #
@@ -183,7 +181,7 @@ def test_criterion_05_crank_nicolson_limit():
     prob = make_problem(name="cn", alpha=1.0, drift=drift_field, f=f, u0=parabola)
     mesh = build_mesh(1.0, 32, 1.0)
     space = uniform_mesh(0.0, 1.0, 64)
-    config = SolverConfig(alpha=1.0, mesh=mesh, spatial=space, check_step_size=False)
+    config = SolverConfig(alpha=1.0, mesh=mesh, spatial=space)
     traj = solve(prob, config)
     ref = cn_reference(space.nodes, mesh.nodes, parabola(space.nodes),
                        prob.kappa, prob.drift, f)
@@ -204,8 +202,7 @@ def test_criterion_06_mass_balance_zero_flux():
     for alpha in (0.4, 0.7):
         prob = make_problem(name="flux", alpha=alpha, drift=drift_field,
                             u0=parabola, bc=BcMode.ZERO_FLUX)
-        config = SolverConfig(alpha=alpha, mesh=mesh, spatial=space,
-                              check_step_size=False)
+        config = SolverConfig(alpha=alpha, mesh=mesh, spatial=space)
         traj = solve(prob, config)
         totals = np.array([mass.matvec(v).sum() for v in traj.values])
         worst_drift = max(worst_drift, float(np.abs(totals - totals[0]).max()))
@@ -219,8 +216,7 @@ def test_criterion_06_mass_balance_zero_flux():
     for alpha in (0.4, 0.7):
         prob = make_problem(name="flux", alpha=alpha, drift=drift_field, f=f,
                             u0=parabola, bc=BcMode.ZERO_FLUX)
-        config = SolverConfig(alpha=alpha, mesh=mesh, spatial=space,
-                              check_step_size=False)
+        config = SolverConfig(alpha=alpha, mesh=mesh, spatial=space)
         traj = solve(prob, config)
         for n in range(1, mesh.N + 1):
             lhs = mass.matvec(traj.values[n] - traj.values[n - 1]).sum()
@@ -310,7 +306,7 @@ def test_criterion_10_long_run_stability():
         norm0 = None
         for N in NS:
             config = SolverConfig(alpha=alpha, mesh=build_mesh(1.0, N, 2.0),
-                                  spatial=space, check_step_size=False)
+                                  spatial=space)
             traj = solve(prob, config)
             norms[N] = max(l2_norm(v, space) for v in traj.values)
             dyn[N] = max(l2_norm(v, space) for v in traj.values[1:])

@@ -17,7 +17,7 @@ from fracfp import (
     uniform_mesh,
 )
 
-from oracles import dense_load, dense_matrices
+from oracles import dense_load, dense_matrices, tridiag_dense
 
 
 def test_mesh_basics():
@@ -25,8 +25,9 @@ def test_mesh_basics():
     assert mesh.M_x == 10
     assert mesh.h == pytest.approx(0.1)
     np.testing.assert_allclose(mesh.nodes, np.linspace(0, 1, 11), atol=1e-15)
-    assert mesh.d_h(BcMode.DIRICHLET) == 9
-    assert mesh.d_h(BcMode.ZERO_FLUX) == 11
+    # unknowns: interior nodes under Dirichlet, all nodes under zero-flux
+    assert assemble_mass(mesh, BcMode.DIRICHLET).n == 9
+    assert assemble_mass(mesh, BcMode.ZERO_FLUX).n == 11
 
 
 def test_mass_matrix_entries():
@@ -44,7 +45,7 @@ def test_mass_matrix_entries():
 def test_mass_spd():
     mesh = uniform_mesh(0.0, 1.0, 17)
     for bc in BcMode:
-        w = np.linalg.eigvalsh(assemble_mass(mesh, bc).to_dense())
+        w = np.linalg.eigvalsh(tridiag_dense(assemble_mass(mesh, bc)))
         assert np.all(w > 0.0)
 
 
@@ -65,7 +66,7 @@ def test_G_zero_flux_rows_sum_to_zero():
     mesh = uniform_mesh(0.0, 1.0, 13)
     G = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0 + 0.2 * x,
                    lambda x: np.sin(3 * x))
-    colsums = G.to_dense().sum(axis=0)
+    colsums = tridiag_dense(G).sum(axis=0)
     np.testing.assert_allclose(colsums, 0.0, atol=1e-13)
 
 
@@ -73,12 +74,12 @@ def test_G_matches_dense_oracle():
     mesh = uniform_mesh(0.0, 1.0, 9)
     kappa = lambda x: 1.0 + 0.5 * x ** 2
     drift = lambda x: 0.3 - x
-    G = assemble_G(mesh, BcMode.ZERO_FLUX, kappa, drift).to_dense()
+    G = tridiag_dense(assemble_G(mesh, BcMode.ZERO_FLUX, kappa, drift))
     _, Gd = dense_matrices(mesh.nodes, kappa, drift)
     # library uses 2-point Gauss: exact for affine drift, close for the
     # quadratic kappa; the drift block must match to roundoff
     np.testing.assert_allclose(G, Gd, rtol=0, atol=2e-4)
-    Gl = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0, drift).to_dense()
+    Gl = tridiag_dense(assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0, drift))
     _, Gld = dense_matrices(mesh.nodes, lambda x: 1.0, drift)
     np.testing.assert_allclose(Gl, Gld, rtol=0, atol=1e-13)
 
@@ -94,9 +95,10 @@ def test_tridiag_ops():
     M = assemble_mass(mesh, BcMode.ZERO_FLUX)
     G = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0, None)
     v = np.sin(np.arange(7.0))
-    np.testing.assert_allclose(M.matvec(v), M.to_dense() @ v, rtol=1e-13)
+    np.testing.assert_allclose(M.matvec(v), tridiag_dense(M) @ v, rtol=1e-13)
     S = M.plus_scaled(G, 0.25)
-    np.testing.assert_allclose(S.to_dense(), M.to_dense() + 0.25 * G.to_dense(), rtol=1e-13)
+    np.testing.assert_allclose(tridiag_dense(S), tridiag_dense(M) + 0.25 * tridiag_dense(G),
+                               rtol=1e-13)
 
 
 def test_thomas_against_dense():
@@ -106,7 +108,7 @@ def test_thomas_against_dense():
         assemble_G(mesh, BcMode.DIRICHLET, lambda x: 1.0 + x, None), 0.37)
     rhs = rng.standard_normal(A.n)
     x = thomas_solve(A, rhs)
-    np.testing.assert_allclose(x, np.linalg.solve(A.to_dense(), rhs), rtol=1e-11)
+    np.testing.assert_allclose(x, np.linalg.solve(tridiag_dense(A), rhs), rtol=1e-11)
 
 
 def test_thomas_singular_raises():

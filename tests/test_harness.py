@@ -9,6 +9,7 @@ import pytest
 
 import fracfp
 from fracfp import (
+    BcMode,
     ConvergenceReport,
     ErrorTrace,
     StudyRow,
@@ -16,6 +17,7 @@ from fracfp import (
     compute_errors,
     compute_rate,
     example1,
+    example2,
     run_study,
     solve,
     uniform_mesh,
@@ -23,8 +25,6 @@ from fracfp import (
 )
 from fracfp.harness import main
 from fracfp.stepper import SolverConfig
-
-pytestmark = pytest.mark.filterwarnings("ignore:time mesh violates")
 
 
 # ------------------------------------------------------------------- rates
@@ -113,6 +113,33 @@ def test_run_study_keep_traces():
     assert report.rows[0].trace is not None
     plain = run_study("ex1", [0.5], [2.0], [4], elements=20)
     assert plain.rows[0].trace is None
+
+
+@pytest.mark.parametrize("factory,override", [
+    (example2, {"bc": BcMode.ZERO_FLUX}),
+    (example1, {"projection": "l2"}),
+])
+def test_run_study_overrides_reach_the_solve(factory, override):
+    made = []
+
+    def spy(alpha):
+        made.append(factory(alpha))
+        return made[-1]
+
+    row = run_study(spy, [0.5], [2.0], [4], elements=20, **override).rows[0]
+    assert row.error is None and len(made) == 1
+    # the factory's problem keeps its own choices
+    own = factory(0.5)
+    assert (made[0].bc, made[0].default_projection) == (own.bc, own.default_projection)
+    replaced = dataclasses.replace(
+        made[0], bc=override.get("bc", own.bc),
+        default_projection=override.get("projection", own.default_projection))
+    config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 4, 2.0),
+                          spatial=uniform_mesh(0.0, 1.0, 20))
+    eps, weps, _ = compute_errors(solve(replaced, config), replaced)
+    assert (row.eps, row.weps) == (eps, weps)
+    # the override changes the result
+    assert run_study(factory, [0.5], [2.0], [4], elements=20).rows[0].eps != row.eps
 
 
 def test_custom_factory():

@@ -9,7 +9,6 @@ from scipy.special import erfcx, rgamma
 from fracfp import (
     ConvolutionWeights,
     build_mesh,
-    conv_weights,
     interp_probe,
     mittag_leffler,
     omega,
@@ -83,7 +82,7 @@ def test_weights_positive_and_telescoping(alpha, gamma):
     mesh = build_mesh(1.0, 64, gamma)
     t = mesh.nodes
     for n in range(2, 65):
-        w = conv_weights(mesh, alpha, n)
+        w = ConvolutionWeights(mesh, alpha).row(n)
         assert np.all(w > 0.0)
         want = (omega(alpha + 2.0, t[n]) - omega(alpha + 2.0, t[n - 1])
                 - omega(alpha + 2.0, t[n] - t[n - 1]))
@@ -100,7 +99,7 @@ def test_weights_positive_and_telescoping_property(alpha, gamma, N, data):
     mesh = build_mesh(1.0, N, gamma)
     t = mesh.nodes
     for n in {N, data.draw(st.integers(min_value=2, max_value=N), label="n")}:
-        w = conv_weights(mesh, alpha, n)
+        w = ConvolutionWeights(mesh, alpha).row(n)
         assert np.all(w > 0.0)
         want = (omega(alpha + 2.0, t[n]) - omega(alpha + 2.0, t[n - 1])
                 - omega(alpha + 2.0, t[n] - t[n - 1]))
@@ -112,7 +111,7 @@ def test_weights_alpha_one_are_step_products():
     mesh = build_mesh(1.0, 16, 1.7)
     tau = mesh.steps
     for n in (2, 9, 16):
-        w = conv_weights(mesh, 1.0, n)
+        w = ConvolutionWeights(mesh, 1.0).row(n)
         np.testing.assert_allclose(w, tau[: n - 1] * tau[n - 1], rtol=1e-12)
 
 
@@ -122,7 +121,7 @@ def test_weights_far_history_against_quadrature():
     mesh = build_mesh(1.0, 32, 3.0)
     alpha = 0.6
     n = 32
-    w = conv_weights(mesh, alpha, n)
+    w = ConvolutionWeights(mesh, alpha).row(n)
     t = mesh.nodes
     for j in (1, 2, 16, 31):
         val, _ = integrate.dblquad(
@@ -136,23 +135,25 @@ def test_weight_accessors():
     mesh = build_mesh(1.0, 8, 2.0)
     cw = ConvolutionWeights(mesh, 0.5)
     assert cw.row(1).size == 0
-    np.testing.assert_allclose(cw.row(5), conv_weights(mesh, 0.5, 5), rtol=0)
     t = mesh.nodes
+    # w_{2,1} = [t_2^1.5 - t_1^1.5 - (t_2 - t_1)^1.5] / Gamma(2.5)
+    assert cw.row(2)[0] == pytest.approx(
+        (t[2] ** 1.5 - t[1] ** 1.5 - (t[2] - t[1]) ** 1.5) * rgamma(2.5), rel=1e-12)
     assert cw.w0(3) == pytest.approx(
         (t[3] ** 0.5 - t[2] ** 0.5) / math.gamma(1.5), rel=1e-12)
     assert cw.d(4) == pytest.approx(mesh.steps[3] ** 0.5 * rgamma(2.5), rel=1e-13)
     with pytest.raises(IndexError):
         cw.row(9)
     with pytest.raises(IndexError):
-        conv_weights(mesh, 0.5, 1)
+        cw.row(0)
 
 
 def test_weights_alpha_validation():
     mesh = build_mesh(1.0, 8, 1.0)
     with pytest.raises(ValueError):
-        conv_weights(mesh, 0.0, 4)
+        ConvolutionWeights(mesh, 0.0)
     with pytest.raises(ValueError):
-        conv_weights(mesh, 1.2, 4)
+        ConvolutionWeights(mesh, 1.2)
 
 
 # ------------------------------------------------------------ Mittag-Leffler

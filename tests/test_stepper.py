@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +27,6 @@ from fracfp import (
 
 from fracfp.stepper import _BLOCK
 from oracles import cn_reference, direct_l1_solve, source_integral_oracle, source_integral_singular
-
-pytestmark = pytest.mark.filterwarnings("ignore:time mesh violates")
 
 
 def make_problem(**kw):
@@ -166,8 +166,7 @@ def test_flux_source_mass_balance_zero_flux():
                         flux_regular=_batched(lambda x, t: (1.0 + t) * np.asarray(x) ** 2))
     space = uniform_mesh(0.0, 1.0, 32)
     tmesh = build_mesh(1.0, 16, 2.0)
-    traj = solve(prob, SolverConfig(alpha=0.5, mesh=tmesh, spatial=space,
-                                    check_step_size=False))
+    traj = solve(prob, SolverConfig(alpha=0.5, mesh=tmesh, spatial=space))
     mass = assemble_mass(space, BcMode.ZERO_FLUX)
     totals = np.array([mass.matvec(u).sum() for u in traj.values])
     gained = totals - totals[0]
@@ -180,7 +179,7 @@ def test_nonfinite_state_names_step():
     # the source turns NaN inside the fifth interval (0.5, 0.625]
     prob = make_problem(f=lambda x, t: np.full(np.shape(x), np.nan if t > 0.5 else 1.0))
     config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, 8, 1.0),
-                          spatial=uniform_mesh(0.0, 1.0, 8), check_step_size=False)
+                          spatial=uniform_mesh(0.0, 1.0, 8))
     state = init_state(prob, config)
     for _ in range(4):
         step(state, config, prob)
@@ -212,7 +211,7 @@ def test_crank_nicolson_limit():
         f_regular=_batched(f),
         u0=lambda x: x * (1.0 - x),
     )
-    config = SolverConfig(alpha=1.0, mesh=tmesh, spatial=space, check_step_size=False)
+    config = SolverConfig(alpha=1.0, mesh=tmesh, spatial=space)
     traj = solve(prob, config)
     ref = cn_reference(space.nodes, tmesh.nodes, prob.u0(space.nodes),
                        prob.kappa, prob.drift, f)
@@ -228,8 +227,7 @@ def test_mass_conservation_zero_flux():
         drift=lambda x, t: np.sin(t) - x,
         u0=lambda x: x * (1.0 - x),
     )
-    config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 16, 2.0), spatial=space,
-                          check_step_size=False)
+    config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 16, 2.0), spatial=space)
     traj = solve(prob, config)
     mass = assemble_mass(space, BcMode.ZERO_FLUX)
     totals = np.array([mass.matvec(u).sum() for u in traj.values])
@@ -248,7 +246,7 @@ def test_blocked_history_matches_direct_sum(bc, N):
                         u0=lambda x: 1.0 + x * (1.0 - x),
                         f=lambda x, t: np.cos(3.0 * t) * np.exp(-np.asarray(x)))
     config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, N, 2.5),
-                          spatial=uniform_mesh(0.0, 1.0, 24), check_step_size=False)
+                          spatial=uniform_mesh(0.0, 1.0, 24))
     got = solve(prob, config).values
     want = direct_l1_solve(prob, config)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -258,8 +256,7 @@ def test_dirichlet_trajectory_keeps_projected_start():
     prob = make_problem(u0=lambda x: 1.0 + x * (1.0 - x))
     space = uniform_mesh(0.0, 1.0, 20)
     # the nodal projection keeps u0's nonzero boundary values
-    config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, _BLOCK + 3, 2.0), spatial=space,
-                          check_step_size=False)
+    config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, _BLOCK + 3, 2.0), spatial=space)
     values = solve(prob, config).values
     np.testing.assert_array_equal(
         values[0], project_initial(prob.u0, space, BcMode.DIRICHLET, "nodal"))
@@ -276,7 +273,7 @@ def test_mass_conservation_zero_flux_property(alpha, gamma, N):
     prob = make_problem(alpha=alpha, bc=BcMode.ZERO_FLUX, drift=lambda x, t: np.sin(t) - x,
                         u0=lambda x: x * (1.0 - x))
     traj = solve(prob, SolverConfig(alpha=alpha, mesh=build_mesh(1.0, N, gamma),
-                                    spatial=space, check_step_size=False))
+                                    spatial=space))
     totals = traj.values @ assemble_mass(space, BcMode.ZERO_FLUX).matvec(np.ones(17))
     np.testing.assert_allclose(totals, totals[0], atol=1e-13)
 
@@ -285,8 +282,7 @@ def test_trajectory_shape_and_start():
     prob = make_problem(u0=lambda x: np.sin(np.pi * np.asarray(x)))
     space = uniform_mesh(0.0, 1.0, 20)
     tmesh = build_mesh(1.0, 9, 1.4)
-    traj = solve(prob, SolverConfig(alpha=0.6, mesh=tmesh, spatial=space,
-                                    check_step_size=False))
+    traj = solve(prob, SolverConfig(alpha=0.6, mesh=tmesh, spatial=space))
     assert traj.values.shape == (10, 21)
     np.testing.assert_allclose(traj.times, tmesh.nodes, rtol=0)
     np.testing.assert_allclose(traj.values[0], np.sin(np.pi * space.nodes), rtol=0)
@@ -302,10 +298,9 @@ def test_trajectory_validation():
 
 
 def test_init_state_and_overrides():
-    prob = make_problem(alpha=0.5, u0=lambda x: x * (1.0 - x))
+    prob = make_problem(alpha=0.5, u0=lambda x: x * (1.0 - x), default_projection="l2")
     space = uniform_mesh(0.0, 1.0, 16)
-    config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 4, 1.0), spatial=space,
-                          projection="l2", check_step_size=False)
+    config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 4, 1.0), spatial=space)
     state = init_state(prob, config)
     # l2 projection of a quadratic differs from its nodal samples
     assert np.abs(state.W[0] - prob.u0(space.nodes)).max() > 1e-6
@@ -320,7 +315,7 @@ def test_init_state_and_overrides():
 def test_step_past_end_raises():
     prob = make_problem(alpha=0.5)
     config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 2, 1.0),
-                          spatial=uniform_mesh(0.0, 1.0, 8), check_step_size=False)
+                          spatial=uniform_mesh(0.0, 1.0, 8))
     state = init_state(prob, config)
     step(state, config, prob)
     step(state, config, prob)
@@ -332,14 +327,14 @@ def test_step_size_warning_toggle():
     prob = make_problem(alpha=0.9, u0=lambda x: x * (1.0 - x),
                         drift=lambda x, t: np.sin(t) - x)
     space = uniform_mesh(0.0, 1.0, 16)
+    # steps of up to 1/4 violate the sufficient condition
     config = SolverConfig(alpha=0.9, mesh=build_mesh(1.0, 4, 1.0), spatial=space)
     with pytest.warns(UserWarning, match="step-size"):
         solve(prob, config)
-    quiet = SolverConfig(alpha=0.9, mesh=build_mesh(1.0, 4, 1.0), spatial=space,
-                         check_step_size=False)
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("error")
+    # a short graded mesh satisfies it, so the solve stays silent
+    quiet = SolverConfig(alpha=0.9, mesh=build_mesh(1e-4, 32, 2.0), spatial=space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         solve(prob, quiet)
 
 
@@ -352,6 +347,27 @@ def test_alpha_mismatch_rejected():
         init_state(prob, config)
     with pytest.raises(ValueError, match="alpha"):
         solve(prob, config)
+
+
+def test_domain_ends_must_match():
+    # 9e-6 past the end of [0, 1]: well outside roundoff, so it is rejected
+    config = SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 4, 1.0),
+                          spatial=uniform_mesh(0.0, 1.000009, 16))
+    with pytest.raises(ValueError, match="does not cover"):
+        init_state(example1(0.7), config)
+    near = SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 4, 1.0),
+                        spatial=uniform_mesh(0.0, 1.0 + 1e-15, 16))
+    assert init_state(example1(0.7), near).n == 0
+
+
+def test_problem_rejects_nonintegrable_rho_when_built():
+    prob = make_problem(rho=-0.5, f=lambda x, t: np.ones_like(x))
+    with pytest.raises(ValueError, match="not integrable"):
+        make_problem(rho=-1.0, f=lambda x, t: np.ones_like(x))
+    with pytest.raises(ValueError, match="not integrable"):
+        replace(prob, rho=-1.5)
+    # without a source rho is never used
+    assert replace(prob, rho=-2.0, f=None).rho == -2.0
 
 
 def test_alpha_validation():
