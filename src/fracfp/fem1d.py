@@ -231,8 +231,7 @@ def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
 
     mode "nodal" samples u0 at the nodes; "l2" solves the mass system with a
     4-point Gauss load vector; "ritz" solves the kappa-weighted stiffness
-    system (Dirichlet only; needs kappa, and uses u0_prime when given, else a
-    central difference of u0).
+    system (Dirichlet only; needs kappa and u0_prime).
     """
     kind = mode.lower()
     if kind == "nodal":
@@ -250,8 +249,7 @@ def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
             # the pure-Neumann stiffness matrix is singular (constants)
             raise ValueError("ritz projection is only supported with dirichlet boundaries")
         if u0_prime is None:
-            step = 1e-5 * mesh.h
-            u0_prime = lambda x: (u0(x + step) - u0(x - step)) / (2.0 * step)
+            raise ValueError("ritz projection needs the derivative u0_prime")
         xg = gauss_points(mesh)
         # <kappa u0', phi_p'> is the load of -(kappa u0')' in flux form
         rhs = load_from_values(mesh, flux=-_eval_on(kappa, xg) * _eval_on(u0_prime, xg))

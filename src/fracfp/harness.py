@@ -179,26 +179,29 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
               keep_traces: bool = False) -> ConvergenceReport:
     """One solver run per (alpha, gamma, N); rows sorted; rates attached.
 
-    bc and projection, when given, replace the problem's own bc and
-    default_projection for every solve.  A row's rate compares it with the
-    (alpha, gamma, 2N) row, so it is only present when that row exists and
-    both errors are positive.  Any solver failure is caught and recorded on
-    the row (see ConvergenceReport.ok).
+    Each problem is solved on `elements` uniform elements over its own
+    domain; rows whose problem cannot be built or meshed carry the h of the
+    unit interval.  bc and projection, when given, replace the problem's own
+    bc and default_projection for every solve.  A row's rate compares it
+    with the (alpha, gamma, 2N) row, so it is only present when that row
+    exists and both errors are positive.  Any solver failure is caught and
+    recorded on the row (see ConvergenceReport.ok).
     """
     factory = _PROBLEMS[problem] if isinstance(problem, str) else problem
     pname = problem if isinstance(problem, str) else getattr(factory, "__name__", "custom")
     report = ConvergenceReport()
-    space = uniform_mesh(0.0, 1.0, elements)
+    unit_h = uniform_mesh(0.0, 1.0, elements).h
     for alpha in sorted(alphas):
         try:
             prob = factory(alpha)
             prob = replace(prob, bc=bc or prob.bc,
                            default_projection=projection or prob.default_projection)
+            space = uniform_mesh(*prob.domain, elements)
         except Exception as exc:  # noqa: BLE001 - report, don't abort the study
             for gamma in sorted(gammas):
                 for N in sorted(Ns):
                     report.rows.append(StudyRow(problem=pname, alpha=alpha, gamma=gamma,
-                                                N=int(N), h=space.h,
+                                                N=int(N), h=unit_h,
                                                 error=f"{type(exc).__name__}: {exc}"))
             continue
         pname = prob.name

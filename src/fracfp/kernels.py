@@ -2,8 +2,11 @@
 
 Everything here lives on the negative real axis (Mittag-Leffler part) or on a
 graded mesh (quadrature weights), which is all the solver needs.  The hot
-paths are vectorized numpy; an arbitrary-precision series fallback covers the
-few parameter corners where double precision runs out of room.
+paths are vectorized numpy.  mittag_leffler picks one route per (mu, beta)
+(Garrappa, SIAM J. Numer. Anal. 53, 2015): a Taylor sum near the origin,
+then the spectral quadrature when beta in {1, mu} and mu <= 0.9, otherwise
+the asymptotic expansion with an arbitrary-precision series for the points
+it cannot settle.
 """
 
 from __future__ import annotations
@@ -172,6 +175,10 @@ class ConvolutionWeights:
 # Taylor series is used while its largest term stays below this, keeping the
 # alternating-sum cancellation within ~3 digits.
 _PEAK_LIMIT = 1.0e3
+# On the spectral route the quadrature is good to ~1e-14 from z ~ 1 up, so
+# the Taylor range ends while its rounding stays near 1e-13 (a limit of 10
+# still lets it reach 2e-12 for beta = mu ~ 0.12).
+_SPECTRAL_PEAK_LIMIT = 3.0
 _TAYLOR_PMAX = 4096
 _ASYM_KMAX = 400.0
 _ASYM_RTOL = 1.0e-12
@@ -182,13 +189,13 @@ _cutoff_cache: dict = {}
 _de_cache: dict = {}
 
 
-def _taylor_cutoff(mu: float, beta: float) -> float:
-    """Largest z such that the Taylor peak term stays below _PEAK_LIMIT."""
-    key = (mu, beta)
+def _taylor_cutoff(mu: float, beta: float, peak: float) -> float:
+    """Largest z such that the Taylor peak term stays below peak."""
+    key = (mu, beta, peak)
     cut = _cutoff_cache.get(key)
     if cut is not None:
         return cut
-    target = math.log(_PEAK_LIMIT)
+    target = math.log(peak)
 
     def logpeak(z: float) -> float:
         p = max(z ** (1.0 / mu) / mu, 1.0)
@@ -286,20 +293,23 @@ def _ml_spectral(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
 
     E_{mu,1}(-z)  = sin(pi mu)/pi * z**-1 * int u**(mu-1) e**-u / J du
     E_{mu,mu}(-z) = sin(pi mu)/pi * z**-2 * int u**mu     e**-u / J du
-    with J = (u**mu/z)**2 + 2 cos(pi mu) u**mu/z + 1.  The integrand is
+    with J = (u**mu/z + cos(pi mu))**2 + sin(pi mu)**2.  The integrand is
     analytic in a strip of width ~pi(1-mu)/mu around the contour, so the
     double-exponential trapezoid converges geometrically for mu <= 0.9.
     """
     upow = mu - 1.0 if beta == 1.0 else mu
     u, w = _de_rule(mu, upow)
-    y = u**mu
-    ratio = y[None, :] / z[:, None]
-    J = ratio * ratio + (2.0 * math.cos(math.pi * mu)) * ratio + 1.0
-    integral = (1.0 / J) @ w
-    s = math.sin(math.pi * mu) / math.pi
+    s = math.sin(math.pi * mu)
+    # 1/J is formed in place in one (points x nodes) buffer
+    buf = np.multiply.outer(1.0 / z, u**mu)
+    buf += math.cos(math.pi * mu)
+    np.square(buf, out=buf)
+    buf += s * s
+    np.reciprocal(buf, out=buf)
+    integral = buf @ w
     if beta == 1.0:
-        return s * integral / z
-    return s * integral / (z * z)
+        return (s / math.pi) * integral / z
+    return (s / math.pi) * integral / (z * z)
 
 
 def _ml_mpmath(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
@@ -335,10 +345,12 @@ def _ml_mpmath(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
 def mittag_leffler(mu: float, beta: float, x):
     """E_{mu,beta}(x) on the nonpositive real axis, vectorized over x.
 
-    Supported domain: 0 < mu <= 1, beta > 0, x <= 0.  Dispatches between a
-    guarded Taylor sum, the algebraic asymptotic expansion, a spectral
-    double-exponential quadrature (beta in {1, mu}) and an
-    arbitrary-precision series for whatever is left.
+    Supported domain: 0 < mu <= 1, beta > 0, x <= 0.  Each point takes one
+    route, fixed by (mu, beta) and by z = -x against the Taylor cutoff:
+    exp(-z) when mu = beta = 1; a guarded Taylor sum up to the cutoff; above
+    it, the spectral double-exponential quadrature when beta in {1, mu} and
+    mu <= 0.9, otherwise the algebraic asymptotic expansion, with an
+    arbitrary-precision series for the points it does not accept.
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mittag_leffler requires 0 < mu <= 1, got mu = {mu}")
@@ -353,28 +365,22 @@ def mittag_leffler(mu: float, beta: float, x):
     if mu == 1.0 and beta == 1.0:
         out[:] = np.exp(-z)
     else:
+        spectral = mu <= _SPECTRAL_MU_MAX and (beta == 1.0 or beta == mu)
+        cut = _taylor_cutoff(mu, beta, _SPECTRAL_PEAK_LIMIT if spectral else _PEAK_LIMIT)
         zero = z == 0.0
-        if zero.any():
-            out[zero] = rgamma(beta)
-        rest = ~zero
-        if rest.any():
-            zr = z[rest]
-            vals = np.empty(zr.shape)
-            small = zr <= _taylor_cutoff(mu, beta)
-            if small.any():
-                vals[small] = _ml_taylor(mu, beta, zr[small])
-            big = ~small
-            if big.any():
-                av, ok = _ml_asymptotic(mu, beta, zr[big])
-                need = ~ok
-                if need.any():
-                    zn = zr[big][need]
-                    if mu <= _SPECTRAL_MU_MAX and (beta == 1.0 or beta == mu):
-                        av[need] = _ml_spectral(mu, beta, zn)
-                    else:
-                        av[need] = _ml_mpmath(mu, beta, zn)
-                vals[big] = av
-            out[rest] = vals
+        out[zero] = rgamma(beta)
+        small = ~zero & (z <= cut)
+        if small.any():
+            out[small] = _ml_taylor(mu, beta, z[small])
+        big = ~zero & ~small
+        if big.any() and spectral:
+            out[big] = _ml_spectral(mu, beta, z[big])
+        elif big.any():
+            zb = z[big]
+            vals, ok = _ml_asymptotic(mu, beta, zb)
+            if not ok.all():
+                vals[~ok] = _ml_mpmath(mu, beta, zb[~ok])
+            out[big] = vals
 
     if arr.ndim == 0:
         return float(out[0])

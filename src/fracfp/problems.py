@@ -12,8 +12,11 @@ E_{alpha,alpha} analogue of u), so they are given in flux form,
 ProblemSpec.flux_regular = (sin t - x) V: the load vector needs V only,
 never the slower-converging V_x.  Series evaluation is the delicate part: a
 fixed truncation cannot serve both t = O(1) and the t_1 ~ 1e-12 values of
-strongly graded meshes, so the evaluator picks the truncation M and a tail
-acceleration order K per call from analytic bounds (see _choose_mk).
+strongly graded meshes, so the evaluator picks the truncation M and the
+tail-correction orders per call from analytic bounds (see _choose_mk).  Each
+evaluation then does one Mittag-Leffler call and one mode sum, whose weight
+rows are the time levels followed by the correction terms; the corrections
+are closed forms of the damped sums (SineSeries.eval_P, one polyval each).
 
 Each problem owns its evaluation caches, shared by its exact and
 flux_regular: per spatial grid, the sin(lam_m x) rows and the exact values
@@ -31,6 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 from scipy.special import rgamma
 
 from .fem1d import BcMode
@@ -72,6 +76,7 @@ _ROW_CAP = 256
 _CHUNK = 1024
 _GRID_CAP = 8  # grids one problem keeps, oldest dropped first
 _MEMO_CAP = 4096  # exact values one grid keeps before it starts over
+_HALF = np.linspace(0.0, 0.5, 129)  # where the primitives' maxima are sampled
 
 
 class _Grid:
@@ -89,7 +94,7 @@ class _Grid:
 
     def rows(self, count: int) -> np.ndarray:
         if self.sin.shape[0] < count:
-            grow = max(count, 2 * self.sin.shape[0], 32)
+            grow = min(max(count, 2 * self.sin.shape[0], 32), _ROW_CAP)
             lam = (2.0 * np.arange(self.sin.shape[0], grow) + 1.0) * math.pi
             self.sin = np.vstack([self.sin, np.sin(np.outer(lam, self.flat))])
         return self.sin[:count]
@@ -111,48 +116,24 @@ def _find_grid(grids: list, x) -> _Grid:
     return grids[-1]
 
 
-def _stream_sin(flat: np.ndarray, m0: int, n: int) -> np.ndarray:
-    """sin(lam_m x) rows for m = m0..m0+n-1 via vectorized angle doubling.
-
-    One exact sin/cos row pair seeds the block (the cos rows only carry the
-    recurrence); doubling grows phase errors only to ~n*eps, which the
-    rapidly decaying tail weights render irrelevant, and every chunk restarts
-    from a fresh exact row.
-    """
-    ang0 = ((2.0 * m0 + 1.0) * math.pi) * flat
-    s = np.empty((n, flat.size))
-    c = np.empty((n, flat.size))
-    s[0] = np.sin(ang0)
-    c[0] = np.cos(ang0)
-    pc = np.cos((2.0 * math.pi) * flat)
-    ps = np.sin((2.0 * math.pi) * flat)
-    r = 1
-    while r < n:
-        take = min(r, n - r)
-        c[r:r + take] = c[:take] * pc - s[:take] * ps
-        s[r:r + take] = s[:take] * pc + c[:take] * ps
-        r += take
-        if r < n:
-            pc, ps = pc * pc - ps * ps, 2.0 * pc * ps
-    return s
-
-
 def _mode_sum(grid: _Grid, weights: np.ndarray) -> np.ndarray:
-    """weights @ sin(lam_m x) over the grid; weights is (..., modes).
+    """weights @ sin(lam_m x) over the grid; weights is (rows, modes).
 
-    The first _ROW_CAP modes come from the cached matrix; anything beyond is
-    streamed in chunks so huge truncations never pin huge matrices.  Batching
-    several weight rows (one per time level) shares the streamed trig blocks,
-    which is what makes strongly graded source quadrature affordable.
+    The first _ROW_CAP modes come from the grid's cached rows; the rest are
+    built _CHUNK modes at a time in one reused block, so huge truncations
+    never pin huge matrices.  Every weight row (time levels and correction
+    terms alike) shares each block, so a call builds the streamed rows once.
     """
     count = weights.shape[-1]
     head = min(count, _ROW_CAP)
     out = weights[..., :head] @ grid.rows(head)
-    m0 = head
-    while m0 < count:
-        m1 = min(m0 + _CHUNK, count)
-        out += weights[..., m0:m1] @ _stream_sin(grid.flat, m0, m1 - m0)
-        m0 = m1
+    if count > head:
+        block = np.empty((min(_CHUNK, count - head), grid.flat.size))
+        for m0 in range(head, count, _CHUNK):
+            rows = block[: min(_CHUNK, count - m0)]
+            lam = (2.0 * np.arange(m0, m0 + rows.shape[0]) + 1.0) * math.pi
+            np.sin(np.multiply.outer(lam, grid.flat, out=rows), out=rows)
+            out += weights[..., m0:m0 + rows.shape[0]] @ rows
     return out
 
 
@@ -177,23 +158,20 @@ class SineSeries:
         self.amplitude = float(amplitude)
         self.power = int(power)
         self.alternating = bool(alternating)
-        self._prims = [half_poly]
-        self._pmax: list = []
+        self._prims: list = []  # (power-basis coefficients of P_k, max |P_k|)
+        self._add_primitive(np.asarray(half_poly.convert().coef, dtype=float))
 
-    def _primitive(self, k: int) -> Polynomial:
+    def _add_primitive(self, coef: np.ndarray) -> None:
+        self._prims.append((coef, float(np.max(np.abs(P.polyval(_HALF, coef))))))
+
+    def _primitive(self, k: int):
+        """(coefficients of P_k, max |P_k| sampled on [0, 1/2])."""
         while len(self._prims) <= k:
-            prev = self._prims[-1]
-            i2 = prev.integ(2)
-            slope = float(prev.integ(1)(0.5))
-            self._prims.append(-i2 + Polynomial([0.0, slope]))
+            prev = self._prims[-1][0]
+            coef = -P.polyint(prev, 2)
+            coef[1] += P.polyval(0.5, P.polyint(prev))
+            self._add_primitive(coef)
         return self._prims[k]
-
-    def _scale(self, k: int) -> float:
-        """max |P_k| on [0, 1/2], sampled."""
-        xs = np.linspace(0.0, 0.5, 129)
-        while len(self._pmax) <= k:
-            self._pmax.append(float(np.max(np.abs(self._primitive(len(self._pmax))(xs)))))
-        return self._pmax[k]
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         lam = (2.0 * m + 1.0) * math.pi
@@ -204,8 +182,7 @@ class SineSeries:
 
     def eval_P(self, k: int, x: np.ndarray) -> np.ndarray:
         """Closed form of sum_m c_m lam_m**(-2k) sin(lam_m x)."""
-        xm = np.minimum(x, 1.0 - x)
-        return self._primitive(k)(xm)
+        return P.polyval(np.minimum(x, 1.0 - x), self._primitive(k)[0])
 
     def u0(self, x):
         arr = np.asarray(x, dtype=float)
@@ -216,8 +193,9 @@ class SineSeries:
         """x-derivative of u0 (one-sided at the symmetry point)."""
         arr = np.asarray(x, dtype=float)
         flat = arr.ravel() if arr.ndim else arr.reshape(1)
-        dq = self._primitive(0).deriv()
-        vals = np.where(flat <= 0.5, dq(np.minimum(flat, 0.5)), -dq(1.0 - np.maximum(flat, 0.5)))
+        dq = P.polyder(self._primitive(0)[0])
+        vals = np.where(flat <= 0.5, P.polyval(np.minimum(flat, 0.5), dq),
+                        -P.polyval(1.0 - np.maximum(flat, 0.5), dq))
         return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
@@ -266,7 +244,7 @@ def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float,
                 rg = abs(float(rgamma(beta - alpha * k)))
                 if rg == 0.0:
                     continue
-                noise = t ** (-alpha * k) * 5.0e-16 * series._scale(k) * rg
+                noise = t ** (-alpha * k) * 5.0e-16 * series._primitive(k)[1] * rg
                 if noise <= 0.1 * tol:
                     terms.append(k)
                 else:
@@ -337,11 +315,13 @@ def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float
         c = series.coeffs(m)
         z = np.outer(tp**alpha, lam * lam)
         E = np.asarray(mittag_leffler(alpha, beta, -z.ravel())).reshape(z.shape)
-        head = _mode_sum(grid, c * E)
-        for k in terms:
+        # time rows c E, then one row c lam**(-2k) per correction term
+        sums = _mode_sum(grid, np.vstack([c * E] + [c * lam ** (-2.0 * k) for k in terms]))
+        head = sums[: tp.size]
+        for k, partial in zip(terms, sums[tp.size:]):
             rg = float(rgamma(beta - alpha * k))
             sign = 1.0 if k % 2 == 1 else -1.0
-            gap = series.eval_P(k, flat) - _mode_sum(grid, c * lam ** (-2.0 * k))
+            gap = series.eval_P(k, flat) - partial
             head += (sign * rg) * np.outer(tp ** (-alpha * k), gap)
         out[pos] = head
     if tarr.ndim == 0:

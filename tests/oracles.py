@@ -52,8 +52,10 @@ def ml_oracle(mu: float, beta: float, x: float) -> float:
     # asymptotic branch: sum_k -(-x)^{-k} rgamma(beta - mu k).  The raw terms
     # dip to ~0 whenever beta - mu k sits near a Gamma pole, so the stop
     # decision uses the pole-free reflection envelope
-    # x^{-k} Gamma(mu k + 1 - beta)/pi >= |term|, which decreases smoothly
-    # until convergence for every argument this branch ever sees.
+    # x^{-k} Gamma(mu k + 1 - beta)/pi >= |term|.  It is only an envelope
+    # once mu k + 1 - beta > 0 (below that Gamma can be negative or at a
+    # pole, as for beta > 1 + mu), and from there it decreases smoothly until
+    # convergence for every argument this branch ever sees.
     with mp.workdps(80):
         mx = mp.mpf(x)
         mmu = mp.mpf(mu)
@@ -61,15 +63,16 @@ def ml_oracle(mu: float, beta: float, x: float) -> float:
         floor = mp.mpf(10) ** (-32)
         acc = mp.mpf(0)
         prev_env = mp.inf
-        k = 1
-        while True:
-            env = mx ** (-k) * mp.gamma(mmu * k + 1 - mbeta) / mp.pi
+        for k in range(1, 400):
             acc -= (-mx) ** (-k) * mp.rgamma(mbeta - mmu * k)
+            if mmu * k + 1 - mbeta <= 0:
+                continue
+            env = mx ** (-k) * mp.gamma(mmu * k + 1 - mbeta) / mp.pi
             if env < floor * (abs(acc) + floor):
                 return float(acc)
-            assert env < prev_env and k < 400, "asymptotic tail not converging"
+            assert env < prev_env, "asymptotic tail not converging"
             prev_env = env
-            k += 1
+        raise RuntimeError("oracle asymptotic sum failed to settle")
 
 
 def series_u_oracle(amplitude: float, power: int, alternating: bool,

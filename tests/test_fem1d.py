@@ -209,3 +209,10 @@ def test_projection_validation():
     with pytest.raises(ValueError):
         project_initial(lambda x: x, mesh, BcMode.ZERO_FLUX, "ritz",
                         kappa=lambda x: 1.0)
+
+
+def test_ritz_needs_u0_prime():
+    mesh = uniform_mesh(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="u0_prime"):
+        project_initial(lambda x: x * (1.0 - x), mesh, BcMode.DIRICHLET, "ritz",
+                        kappa=lambda x: 1.0)

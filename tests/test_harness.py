@@ -147,6 +147,19 @@ def test_custom_factory():
     assert report.ok and report.rows[0].problem == "ex1"
 
 
+def test_run_study_meshes_the_problem_domain():
+    def wide(alpha):
+        return dataclasses.replace(example1(alpha), domain=(0.0, 2.0))
+
+    row = run_study(wide, [0.5], [1.0], [4], elements=20).rows[0]
+    assert row.error is None and row.h == 0.1
+    prob = wide(0.5)
+    config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 4, 1.0),
+                          spatial=uniform_mesh(0.0, 2.0, 20))
+    eps, weps, _ = compute_errors(solve(prob, config), prob)
+    assert (row.eps, row.weps) == (eps, weps)
+
+
 # --------------------------------------------------------------------- CSV
 
 def _strip_seconds(text: str) -> str:

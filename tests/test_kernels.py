@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx, rgamma
 
+from fracfp import kernels
 from fracfp import (
     ConvolutionWeights,
     build_mesh,
@@ -193,16 +194,85 @@ def test_ml_domain_validation():
         mittag_leffler(0.5, 0.0, -1.0)
 
 
-@pytest.mark.parametrize("mu", [0.15, 0.4, 0.6, 0.8, 0.95])
-@pytest.mark.parametrize("beta_kind", ["one", "mu"])
-def test_ml_against_oracle(mu, beta_kind):
-    # spans the Taylor, asymptotic and spectral branches
-    beta = 1.0 if beta_kind == "one" else mu
+@pytest.mark.parametrize("beta_kind,mu",
+                         [(kind, mu) for kind in ("mu", "one")
+                          for mu in (0.15, 0.4, 0.6, 0.8, 0.95)]
+                         + [(1.7, 0.6), (2.0, 0.8), (0.3, 0.5)])
+def test_ml_against_oracle(beta_kind, mu):
+    # beta in {1, mu} with mu <= 0.9 takes the Taylor and spectral routes;
+    # mu = 0.95 and the other betas take Taylor, asymptotic and mpmath
+    beta = {"one": 1.0, "mu": mu}.get(beta_kind, beta_kind)
     xs = np.logspace(-6, 8, 15)
     got = mittag_leffler(mu, beta, -xs)
     for x, g in zip(xs, got):
         want = ml_oracle(mu, beta, float(x))
         assert g == pytest.approx(want, rel=2e-12), (mu, beta, x)
+
+
+def test_ml_oracle_asymptotic_branch_for_large_beta():
+    # beta > 1 + mu: the oracle's asymptotic branch must match a direct
+    # Taylor sum carried in enough digits to absorb its e**147 peak term
+    import mpmath as mp
+    mu, beta, x = 0.6, 1.7, 20.0
+    assert x ** (1.0 / mu) > 95.0  # the oracle's asymptotic branch
+    with mp.workdps(120):
+        mmu, mbeta = mp.mpf(mu), mp.mpf(beta)
+        want = mp.fsum((-mp.mpf(x)) ** k * mp.rgamma(mmu * k + mbeta) for k in range(1200))
+    assert ml_oracle(mu, beta, x) == pytest.approx(float(want), rel=1e-14)
+
+
+def _taylor_peak_cutoff(mu, beta, peak):
+    """z where the largest Taylor term z**p / Gamma(mu p + beta) reaches peak."""
+    from scipy.optimize import brentq
+    from scipy.special import gammaln
+    p = np.arange(4096.0)
+    return brentq(lambda z: np.max(p * math.log(z) - gammaln(mu * p + beta)) - math.log(peak),
+                  0.5, 1.0e3, xtol=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.15, 0.5, 0.9])
+@pytest.mark.parametrize("beta_kind", ["one", "mu"])
+def test_ml_against_oracle_up_to_taylor_peak_1e3(mu, beta_kind):
+    # z up to where the largest Taylor term reaches 1e3: a Taylor sum loses
+    # up to 1e-9 there (E_{0.9,0.9}(-7)), and decade sampling misses the band
+    beta = 1.0 if beta_kind == "one" else mu
+    xs = np.linspace(0.2, 1.0, 9) * _taylor_peak_cutoff(mu, beta, 1.0e3)
+    got = mittag_leffler(mu, beta, -xs)
+    for x, g in zip(xs, got):
+        assert g == pytest.approx(ml_oracle(mu, beta, float(x)), rel=2e-12), (mu, beta, x)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("beta_kind", ["one", "mu"])
+def test_ml_spectral_route_never_falls_back(mu, beta_kind, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("beta in {1, mu} with mu <= 0.9 must not leave the spectral route")
+
+    monkeypatch.setattr(kernels, "_ml_asymptotic", refuse)
+    monkeypatch.setattr(kernels, "_ml_mpmath", refuse)
+    beta = 1.0 if beta_kind == "one" else mu
+    v = mittag_leffler(mu, beta, -np.logspace(-6, 15, 43))
+    assert np.all(np.isfinite(v)) and np.all(v > 0.0)
+
+
+@given(mu=st.floats(min_value=0.1, max_value=0.9), beta_is_one=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_ml_taylor_meets_spectral_at_switch(mu, beta_is_one):
+    beta = 1.0 if beta_is_one else mu
+    z = np.array([kernels._taylor_cutoff(mu, beta, kernels._SPECTRAL_PEAK_LIMIT)])
+    taylor = kernels._ml_taylor(mu, beta, z)[0]
+    assert taylor == pytest.approx(kernels._ml_spectral(mu, beta, z)[0], rel=1e-12)
+
+
+@given(mu=st.floats(min_value=0.1, max_value=0.9), beta_is_one=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_ml_completely_monotone(mu, beta_is_one):
+    # beta >= mu: E_{mu,beta}(-z) is completely monotone in z, so positive
+    # and strictly decreasing along the whole negative axis
+    beta = 1.0 if beta_is_one else mu
+    v = mittag_leffler(mu, beta, -np.logspace(-6, 15, 211))
+    assert np.all(v > 0.0)
+    assert np.all(np.diff(v) < 0.0)
 
 
 def test_ml_monotone_decay():

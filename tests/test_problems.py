@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fracfp import problems
 from fracfp import (
     SeriesTruncation,
     TruncationError,
@@ -242,6 +243,39 @@ def test_returned_exact_cannot_change_later_calls():
     except ValueError:
         pass  # read-only
     np.testing.assert_array_equal(prob.exact(x, 0.3), want)
+
+
+def test_one_mode_sum_per_evaluation(monkeypatch):
+    # time rows and correction rows share a single mode sum
+    calls = []
+    inner = problems._mode_sum
+
+    def counted(grid, weights):
+        calls.append(weights.shape)
+        return inner(grid, weights)
+
+    monkeypatch.setattr(problems, "_mode_sum", counted)
+    prob = example1(0.45)
+    x = np.linspace(0.0, 1.0, 11)
+    ts = np.array([1e-3, 0.2, 0.9])
+    prob.flux_regular(x, ts)
+    prob.exact(x, 1e-6)
+    # one call each, carrying correction rows after the time rows
+    assert len(calls) == 2 and calls[0][0] > ts.size and calls[1][0] > 1
+
+
+def test_streamed_modes_match_direct_sum():
+    # modes past the cached rows are built chunk by chunk
+    x = np.linspace(0.0, 1.0, 7)
+    grid = problems._find_grid([], x)
+    grid.rows(200)
+    count = problems._ROW_CAP + problems._CHUNK + 5
+    weights = np.random.default_rng(1).standard_normal((2, count))
+    lam = (2.0 * np.arange(count) + 1.0) * math.pi
+    np.testing.assert_allclose(problems._mode_sum(grid, weights),
+                               weights @ np.sin(np.outer(lam, x)), rtol=1e-12, atol=1e-12)
+    # the cached rows never grow past the cap
+    assert grid.sin.shape[0] == problems._ROW_CAP
 
 
 def test_truncation_error_raised():
