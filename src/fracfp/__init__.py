@@ -34,8 +34,6 @@ from .kernels import (
 )
 from .problems import (
     ProblemSpec,
-    SeriesTruncation,
-    SineSeries,
     TruncationError,
     example1,
     example2,
@@ -52,8 +50,6 @@ __all__ = [
     "ErrorTrace",
     "GradedMesh",
     "ProblemSpec",
-    "SeriesTruncation",
-    "SineSeries",
     "SingularSystemError",
     "SolverConfig",
     "SolverState",

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .fem1d import BcMode, l2_norm, uniform_mesh
+from .fem1d import l2_norm, uniform_mesh
 from .problems import ProblemSpec, example1, example2
 from .stepper import SolverConfig, Trajectory, solve
 from .timegrid import build_mesh
@@ -174,18 +174,19 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
               gammas: Sequence[float],
               Ns: Sequence[int],
               elements: int = 2000,
-              bc: Optional[BcMode] = None,
               projection: Optional[str] = None,
               keep_traces: bool = False) -> ConvergenceReport:
     """One solver run per (alpha, gamma, N); rows sorted; rates attached.
 
     Each problem is solved on `elements` uniform elements over its own
     domain; rows whose problem cannot be built or meshed carry the h of the
-    unit interval.  bc and projection, when given, replace the problem's own
-    bc and default_projection for every solve.  A row's rate compares it
-    with the (alpha, gamma, 2N) row, so it is only present when that row
-    exists and both errors are positive.  Any solver failure is caught and
-    recorded on the row (see ConvergenceReport.ok).
+    unit interval.  projection, when given, replaces the problem's
+    default_projection for every solve (the exact solution does not depend
+    on it); the boundary condition is always the problem's own, the one its
+    exact solution solves.  A row's rate compares it with the (alpha, gamma,
+    2N) row, so it is only present when that row exists and both errors are
+    positive.  Any solver failure is caught and recorded on the row (see
+    ConvergenceReport.ok).
     """
     factory = _PROBLEMS[problem] if isinstance(problem, str) else problem
     pname = problem if isinstance(problem, str) else getattr(factory, "__name__", "custom")
@@ -194,8 +195,7 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
     for alpha in sorted(alphas):
         try:
             prob = factory(alpha)
-            prob = replace(prob, bc=bc or prob.bc,
-                           default_projection=projection or prob.default_projection)
+            prob = replace(prob, default_projection=projection or prob.default_projection)
             space = uniform_mesh(*prob.domain, elements)
         except Exception as exc:  # noqa: BLE001 - report, don't abort the study
             for gamma in sorted(gammas):
@@ -254,8 +254,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     metavar="N[,N...]", help="time step counts (default 16,...,256)")
     ap.add_argument("--elements", type=int, default=2000, metavar="Mx",
                     help="spatial elements (default 2000)")
-    ap.add_argument("--bc", choices=["dirichlet", "zeroflux"], default=None,
-                    help="override the problem's boundary condition")
     ap.add_argument("--projection", choices=["ritz", "l2", "nodal"], default=None,
                     help="override the initial-datum projection")
     ap.add_argument("--trace", action="store_true",
@@ -266,10 +264,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="output directory (default current directory)")
     args = ap.parse_args(argv)
 
-    bc = BcMode(args.bc) if args.bc else None
     want_traces = args.trace or args.gnuplot
     report = run_study(args.problem, args.alpha, args.gamma, args.steps,
-                       elements=args.elements, bc=bc, projection=args.projection,
+                       elements=args.elements, projection=args.projection,
                        keep_traces=want_traces)
 
     out = Path(args.out)

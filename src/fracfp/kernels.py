@@ -4,7 +4,7 @@ Everything here lives on the negative real axis (Mittag-Leffler part) or on a
 graded mesh (quadrature weights), which is all the solver needs.  The hot
 paths are vectorized numpy.  mittag_leffler picks one route per (mu, beta)
 (Garrappa, SIAM J. Numer. Anal. 53, 2015): a Taylor sum near the origin,
-then the spectral quadrature when beta in {1, mu} and mu <= 0.9, otherwise
+then the spectral quadrature when beta in {1, mu} and mu <= 0.99, otherwise
 the asymptotic expansion with an arbitrary-precision series for the points
 it cannot settle.
 """
@@ -182,8 +182,11 @@ _SPECTRAL_PEAK_LIMIT = 3.0
 _TAYLOR_PMAX = 4096
 _ASYM_KMAX = 400.0
 _ASYM_RTOL = 1.0e-12
-# The spectral integral loses accuracy as sin(pi*mu) -> 0.
-_SPECTRAL_MU_MAX = 0.90
+# The spectral integrand's strip of analyticity narrows as mu -> 1; up to
+# here the quadrature step follows it (see _de_rule).
+_SPECTRAL_MU_MAX = 0.99
+# largest (points x nodes) buffer _ml_spectral fills at once, in entries
+_SPECTRAL_BUF = 1 << 23
 
 _cutoff_cache: dict = {}
 _de_cache: dict = {}
@@ -278,7 +281,8 @@ def _de_rule(mu: float, upow: float):
     key = (mu, upow)
     rule = _de_cache.get(key)
     if rule is None:
-        h = 0.05
+        # past mu = 0.9 the step shrinks with the spectral integrand's strip
+        h = 0.05 if mu <= 0.9 else 0.5 * (1.0 - mu)
         tg = np.arange(-7.5, 6.0 + 1e-12, h)
         lnu = tg - np.exp(-tg)
         u = np.exp(lnu)
@@ -295,18 +299,25 @@ def _ml_spectral(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
     E_{mu,mu}(-z) = sin(pi mu)/pi * z**-2 * int u**mu     e**-u / J du
     with J = (u**mu/z + cos(pi mu))**2 + sin(pi mu)**2.  The integrand is
     analytic in a strip of width ~pi(1-mu)/mu around the contour, so the
-    double-exponential trapezoid converges geometrically for mu <= 0.9.
+    double-exponential trapezoid converges geometrically once its step is
+    small against that width (_de_rule).  The points are taken in row chunks
+    of at most _SPECTRAL_BUF buffer entries.
     """
     upow = mu - 1.0 if beta == 1.0 else mu
     u, w = _de_rule(mu, upow)
     s = math.sin(math.pi * mu)
-    # 1/J is formed in place in one (points x nodes) buffer
-    buf = np.multiply.outer(1.0 / z, u**mu)
-    buf += math.cos(math.pi * mu)
-    np.square(buf, out=buf)
-    buf += s * s
-    np.reciprocal(buf, out=buf)
-    integral = buf @ w
+    rows = max(1, _SPECTRAL_BUF // u.size)
+    buf = np.empty((min(rows, z.size), u.size))
+    integral = np.empty(z.shape)
+    for i in range(0, z.size, rows):
+        # 1/J is formed in place in one (points x nodes) buffer
+        part = buf[: min(rows, z.size - i)]
+        np.multiply.outer(1.0 / z[i : i + rows], u**mu, out=part)
+        part += math.cos(math.pi * mu)
+        np.square(part, out=part)
+        part += s * s
+        np.reciprocal(part, out=part)
+        integral[i : i + rows] = part @ w
     if beta == 1.0:
         return (s / math.pi) * integral / z
     return (s / math.pi) * integral / (z * z)
@@ -349,7 +360,7 @@ def mittag_leffler(mu: float, beta: float, x):
     route, fixed by (mu, beta) and by z = -x against the Taylor cutoff:
     exp(-z) when mu = beta = 1; a guarded Taylor sum up to the cutoff; above
     it, the spectral double-exponential quadrature when beta in {1, mu} and
-    mu <= 0.9, otherwise the algebraic asymptotic expansion, with an
+    mu <= 0.99, otherwise the algebraic asymptotic expansion, with an
     arbitrary-precision series for the points it does not accept.
     """
     if not 0.0 < mu <= 1.0:

@@ -13,10 +13,14 @@ ProblemSpec.flux_regular = (sin t - x) V: the load vector needs V only,
 never the slower-converging V_x.  Series evaluation is the delicate part: a
 fixed truncation cannot serve both t = O(1) and the t_1 ~ 1e-12 values of
 strongly graded meshes, so the evaluator picks the truncation M and the
-tail-correction orders per call from analytic bounds (see _choose_mk).  Each
-evaluation then does one Mittag-Leffler call and one mode sum, whose weight
-rows are the time levels followed by the correction terms; the corrections
-are closed forms of the damped sums (SineSeries.eval_P, one polyval each).
+tail-correction orders per call from analytic bounds (see _choose_mk) that
+keep everything dropped below _TAIL_TOL = 1e-9 absolute.  Each evaluation
+then does one Mittag-Leffler call and one mode sum, whose weight rows are the
+time levels followed by the correction terms; the corrections are closed
+forms of the damped sums (SineSeries.eval_P, one polyval each).
+
+Both are homogeneous Dirichlet problems: exact solves that problem only, so
+a copy with another bc has no exact solution to compare against.
 
 Each problem owns its evaluation caches, shared by its exact and
 flux_regular: per spatial grid, the sin(lam_m x) rows and the exact values
@@ -42,8 +46,6 @@ from .kernels import mittag_leffler
 
 __all__ = [
     "TruncationError",
-    "SeriesTruncation",
-    "SineSeries",
     "ProblemSpec",
     "example1",
     "example2",
@@ -54,18 +56,12 @@ class TruncationError(Exception):
     """The tail bound could not be met within the term cap."""
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Adaptive cutoff policy for the series evaluators.
-
-    m_max caps the number of retained modes, tail_tol is the absolute bound
-    every evaluation enforces on everything dropped, and order is the largest
-    tail-acceleration order the structured evaluator may use.
-    """
-
-    m_max: int = 1_000_000
-    tail_tol: float = 1.0e-9
-    order: int = 6
+# Series cutoff: every evaluation bounds everything it drops by _TAIL_TOL
+# (absolute), keeps at most _M_MAX modes and uses tail-acceleration orders up
+# to _ORDER.
+_TAIL_TOL = 1.0e-9
+_M_MAX = 1_000_000
+_ORDER = 6
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +204,7 @@ def _modes_for(C: float, e: float) -> int:
     return int(math.ceil((rhs ** (1.0 / (e - 1.0)) - 1.0) / 2.0))
 
 
-def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float,
-               trunc: SeriesTruncation):
+def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float):
     """Pick truncation M and the correction terms for one evaluation.
 
     Under acceleration order J the dropped remainder (modes m > M after
@@ -226,15 +221,14 @@ def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float,
     cheapest admissible M wins; returns (M, terms) where terms lists the
     correction orders actually worth computing.
     """
-    tol = trunc.tail_tol
     A = abs(series.amplitude)
     p = series.power
     best = None
     with np.errstate(over="ignore"):
-        for J in range(trunc.order + 1):
+        for J in range(_ORDER + 1):
             e_env = p + 2 * (J + 1)
             c_env = (3.0 * math.gamma(1.0 + alpha * (J + 1) - beta) / math.pi
-                     * t ** (-alpha * (J + 1)) * A / (0.5 * tol))
+                     * t ** (-alpha * (J + 1)) * A / (0.5 * _TAIL_TOL))
             if not math.isfinite(c_env):
                 continue
             m_req = _modes_for(c_env, e_env)
@@ -245,10 +239,10 @@ def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float,
                 if rg == 0.0:
                     continue
                 noise = t ** (-alpha * k) * 5.0e-16 * series._primitive(k)[1] * rg
-                if noise <= 0.1 * tol:
+                if noise <= 0.1 * _TAIL_TOL:
                     terms.append(k)
                 else:
-                    c_kill = rg * t ** (-alpha * k) * A / (0.1 * tol)
+                    c_kill = rg * t ** (-alpha * k) * A / (0.1 * _TAIL_TOL)
                     if not math.isfinite(c_kill):
                         feasible = False
                         break
@@ -259,12 +253,9 @@ def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float,
                 best = (m_req, terms)
             if m_req == 0:
                 break
-    if best is None or best[0] > trunc.m_max:
+    if best is None or best[0] > _M_MAX:
         have = "inf" if best is None else str(best[0])
-        raise TruncationError(
-            f"series needs {have} modes at t = {t:g} (cap {trunc.m_max}); "
-            "raise m_max or tail_tol"
-        )
+        raise TruncationError(f"series needs {have} modes at t = {t:g} (cap {_M_MAX})")
     m_fin, terms = best
     # drop corrections that the final M already renders negligible
     kept = []
@@ -273,7 +264,7 @@ def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float,
         e_k = p + 2 * k
         size = (rg * t ** (-alpha * k) * A * math.pi ** (-e_k)
                 * (2.0 * m_fin + 1.0) ** (1 - e_k) / (2.0 * (e_k - 1.0)))
-        if size > 0.02 * tol:
+        if size > 0.02 * _TAIL_TOL:
             kept.append(k)
     return m_fin, kept
 
@@ -282,8 +273,7 @@ def _shape(vals: np.ndarray, arr: np.ndarray):
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
-def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float,
-                     trunc: SeriesTruncation):
+def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float):
     """Evaluate the u / V series of one SineSeries on a grid's points.
 
     kind "u" pairs sin modes with E_{alpha,1}; "v" uses E_{alpha,alpha}.
@@ -309,7 +299,7 @@ def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float
         out[~pos] = series.eval_P(0, flat) * scale
     if pos.any():
         tp = ts[pos]
-        M, terms = _choose_mk(series, beta, float(tp.min()), alpha, trunc)
+        M, terms = _choose_mk(series, beta, float(tp.min()), alpha)
         m = np.arange(M + 1)
         lam = (2.0 * m + 1.0) * math.pi
         c = series.coeffs(m)
@@ -370,10 +360,9 @@ class ProblemSpec:
 
 
 def _series_problem(name: str, alpha: float, series: SineSeries,
-                    default_projection: str, trunc: Optional[SeriesTruncation]) -> ProblemSpec:
+                    default_projection: str) -> ProblemSpec:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"the manufactured problems require 0 < alpha < 1, got {alpha}")
-    tr = trunc or SeriesTruncation()
     grids: list = []  # shared by exact and flux_regular
 
     def exact(x, t):
@@ -382,7 +371,7 @@ def _series_problem(name: str, alpha: float, series: SineSeries,
         key = float(t)
         val = grid.exact.get(key)
         if val is None:
-            val = _eval_structured(series, "u", grid, key, alpha, tr)
+            val = _eval_structured(series, "u", grid, key, alpha)
             if isinstance(val, np.ndarray):
                 val.flags.writeable = False  # shared by every later call
             if len(grid.exact) >= _MEMO_CAP:
@@ -393,7 +382,7 @@ def _series_problem(name: str, alpha: float, series: SineSeries,
     def flux_regular(x, t):
         # f_regular = (sin t - x) V_x - V is the x-derivative of this flux
         grid = _find_grid(grids, x)
-        v = _eval_structured(series, "v", grid, t, alpha, tr)
+        v = _eval_structured(series, "v", grid, t, alpha)
         tt = np.asarray(t, dtype=float)
         return (np.sin(tt).reshape(tt.shape + (1,) * grid.x.ndim) - grid.x) * v
 
@@ -416,17 +405,17 @@ def _series_problem(name: str, alpha: float, series: SineSeries,
     )
 
 
-def example1(alpha: float, trunc: Optional[SeriesTruncation] = None) -> ProblemSpec:
+def example1(alpha: float) -> ProblemSpec:
     """Smooth initial data u0 = x(1-x): coefficients 8 lam_m**-3."""
     series = SineSeries(8.0, 3, False, Polynomial([0.0, 1.0, -1.0]))
-    return _series_problem("ex1", alpha, series, "ritz", trunc)
+    return _series_problem("ex1", alpha, series, "ritz")
 
 
-def example2(alpha: float, trunc: Optional[SeriesTruncation] = None) -> ProblemSpec:
+def example2(alpha: float) -> ProblemSpec:
     """Hat initial data (kink at x = 1/2): coefficients 4 (-1)^m lam_m**-2.
 
     Nodal projection is the default so the kink lands exactly on a mesh node
     value; the source flux is derived from the series exactly as in example1.
     """
     series = SineSeries(4.0, 2, True, Polynomial([0.0, 1.0]))
-    return _series_problem("ex2", alpha, series, "nodal", trunc)
+    return _series_problem("ex2", alpha, series, "nodal")

@@ -86,8 +86,9 @@ class Trajectory:
 @dataclass
 class SolverState:
     """Mutable per-solve state: completed step count, increments, current
-    solution, the matrices/weights shared by every step (the source load is
-    assembled afresh per step by assemble_source), and the open history block.
+    solution at the unknowns, the matrices/weights shared by every step (the
+    source load is assembled afresh per step by assemble_source), and the
+    open history block.  The boundary condition is read from the problem.
 
     W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
     nodal U^0 and row n the increment W^n = U^n - U^(n-1) at the unknowns
@@ -98,8 +99,6 @@ class SolverState:
     """
 
     n: int
-    bc: BcMode
-    U0_dof: np.ndarray
     U_dof: np.ndarray
     W: np.ndarray
     mass: TriDiagMatrix
@@ -181,31 +180,29 @@ def init_state(problem, config: SolverConfig) -> SolverState:
     bc = problem.bc
     U0_full = project_initial(problem.u0, space, bc, problem.default_projection,
                               kappa=problem.kappa, u0_prime=problem.u0_prime)
-    N = config.mesh.N
-    U0_dof = to_dof(U0_full, bc)
-    W = np.zeros((N + 1, space.M_x + 1))
+    W = np.zeros((config.mesh.N + 1, space.M_x + 1))
     W[0] = U0_full
+    U_dof = to_dof(U0_full, bc)
     return SolverState(
         n=0,
-        bc=bc,
-        U0_dof=U0_dof,
-        U_dof=U0_dof.copy(),
+        U_dof=U_dof,
         W=W,
         mass=assemble_mass(space, bc),
         cw=ConvolutionWeights(config.mesh, config.alpha),
-        hist_old=np.empty((0, U0_dof.size)),
+        hist_old=np.empty((0, U_dof.size)),
         hist_tail=np.empty((0, 0)),
     )
 
 
-def _open_block(state: SolverState, tmesh: GradedMesh, s: int) -> None:
+def _open_block(state: SolverState, tmesh: GradedMesh, W: np.ndarray, s: int) -> None:
     """Weights of steps s..s+_BLOCK-1 (one row call each) and their history
-    over W^1..W^{s-1}, summed in one matrix product."""
+    over W^1..W^{s-1} (W: the increment buffer at the unknowns), summed in
+    one matrix product."""
     ms = range(s, min(s + _BLOCK, tmesh.N + 1))
     coeff = np.zeros((len(ms), s - 1 + len(ms)))
     for i, m in enumerate(ms):
         coeff[i, : m - 1] = state.cw.row(m) / tmesh.steps[: m - 1]
-    state.hist_old = coeff[:, : s - 1] @ state.W[1:s, _dofs(state.bc)]
+    state.hist_old = coeff[:, : s - 1] @ W[1:s]
     state.hist_tail = coeff[:, s - 1 :]
 
 
@@ -228,19 +225,20 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
         raise IndexError(f"trajectory already complete at N = {tmesh.N}")
     t0, t1 = tmesh.nodes[n - 1], tmesh.nodes[n]
 
+    bc = problem.bc
     F = problem.drift
     davg = None if F is None else (lambda x: 0.5 * (F(x, t0) + F(x, t1)))
-    G = assemble_G(config.spatial, state.bc, problem.kappa, davg)
+    G = assemble_G(config.spatial, bc, problem.kappa, davg)
     S = state.mass.plus_scaled(G, state.cw.d(n))
 
-    fvec = to_dof(assemble_source(problem, config.spatial, (t0, t1)), state.bc)
+    fvec = to_dof(assemble_source(problem, config.spatial, (t0, t1)), bc)
 
+    W = state.W[:, _dofs(bc)]
     s = n - (n - 1) % _BLOCK
     if s == n:
-        _open_block(state, tmesh, s)
+        _open_block(state, tmesh, W, s)
     i = n - s
-    W = state.W[:, _dofs(state.bc)]
-    hist = state.cw.w0(n) * state.U0_dof + (
+    hist = state.cw.w0(n) * W[0] + (
         state.hist_old[i] + state.hist_tail[i, :i] @ W[s:n])
 
     Wn = thomas_solve(S, fvec - G.matvec(hist))
@@ -287,7 +285,7 @@ def solve(problem, config: SolverConfig) -> Trajectory:
         step(state, config, problem)
     # U^n = U^0 + W^1 + ... + W^n, added in step order; row 0 (full U^0) and
     # the Dirichlet boundary columns (zero for n >= 1) are left as they are
-    W = state.W[:, _dofs(state.bc)]
+    W = state.W[:, _dofs(problem.bc)]
     np.cumsum(W, axis=0, out=W)
     return Trajectory(times=config.mesh.nodes.copy(), values=state.W,
                       spatial=config.spatial)

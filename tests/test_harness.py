@@ -9,7 +9,6 @@ import pytest
 
 import fracfp
 from fracfp import (
-    BcMode,
     ConvergenceReport,
     ErrorTrace,
     StudyRow,
@@ -115,31 +114,24 @@ def test_run_study_keep_traces():
     assert plain.rows[0].trace is None
 
 
-@pytest.mark.parametrize("factory,override", [
-    (example2, {"bc": BcMode.ZERO_FLUX}),
-    (example1, {"projection": "l2"}),
-])
-def test_run_study_overrides_reach_the_solve(factory, override):
+def test_run_study_projection_reaches_the_solve():
     made = []
 
     def spy(alpha):
-        made.append(factory(alpha))
+        made.append(example1(alpha))
         return made[-1]
 
-    row = run_study(spy, [0.5], [2.0], [4], elements=20, **override).rows[0]
+    row = run_study(spy, [0.5], [2.0], [4], elements=20, projection="l2").rows[0]
     assert row.error is None and len(made) == 1
-    # the factory's problem keeps its own choices
-    own = factory(0.5)
-    assert (made[0].bc, made[0].default_projection) == (own.bc, own.default_projection)
-    replaced = dataclasses.replace(
-        made[0], bc=override.get("bc", own.bc),
-        default_projection=override.get("projection", own.default_projection))
+    # the factory's problem keeps its own choice
+    assert made[0].default_projection == example1(0.5).default_projection == "ritz"
+    replaced = dataclasses.replace(made[0], default_projection="l2")
     config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 4, 2.0),
                           spatial=uniform_mesh(0.0, 1.0, 20))
     eps, weps, _ = compute_errors(solve(replaced, config), replaced)
     assert (row.eps, row.weps) == (eps, weps)
     # the override changes the result
-    assert run_study(factory, [0.5], [2.0], [4], elements=20).rows[0].eps != row.eps
+    assert run_study(example1, [0.5], [2.0], [4], elements=20).rows[0].eps != row.eps
 
 
 def test_custom_factory():
@@ -180,6 +172,32 @@ def test_csv_schema_and_determinism():
     assert lines[2].split(",")[6] == ""  # none on the finest
     assert _strip_seconds(a) == _strip_seconds(b)
     assert a.endswith("\n") and "\r" not in a
+
+
+# Study tables (write_csv without `seconds`) as recorded from the solver: a
+# change that is not meant to move the numerics must leave them byte-identical.
+_EX1_TABLE = """\
+problem,alpha,gamma,N,h,eps,eps_rate,weps,weps_rate
+ex1,7.00000e-01,1.00000e+00,16,2.50000e-03,2.03821e-02,9.96241e-01,1.25467e-02,1.17124e+00
+ex1,7.00000e-01,1.00000e+00,32,2.50000e-03,1.02177e-02,1.03819e+00,5.57121e-03,1.21319e+00
+ex1,7.00000e-01,1.00000e+00,64,2.50000e-03,4.97537e-03,,2.40294e-03,
+ex1,7.00000e-01,2.30000e+00,16,2.50000e-03,8.84668e-04,1.98422e+00,5.06350e-04,1.99574e+00
+ex1,7.00000e-01,2.30000e+00,32,2.50000e-03,2.23599e-04,1.98095e+00,1.26961e-04,1.98241e+00
+ex1,7.00000e-01,2.30000e+00,64,2.50000e-03,5.66429e-05,,3.21296e-05,"""
+_EX2_TABLE = """\
+problem,alpha,gamma,N,h,eps,eps_rate,weps,weps_rate
+ex2,4.00000e-01,3.30000e+00,32,2.50000e-03,3.47615e-03,9.85249e-01,1.10764e-03,1.31525e+00
+ex2,4.00000e-01,3.30000e+00,64,2.50000e-03,1.75594e-03,,4.45113e-04,
+ex2,6.00000e-01,3.30000e+00,32,2.50000e-03,7.98438e-04,1.48173e+00,1.71815e-04,1.98455e+00
+ex2,6.00000e-01,3.30000e+00,64,2.50000e-03,2.85888e-04,,4.34162e-05,"""
+
+
+@pytest.mark.parametrize("args,want", [
+    (("ex1", [0.7], [1.0, 2.3], [16, 32, 64]), _EX1_TABLE),
+    (("ex2", [0.4, 0.6], [3.3], [32, 64]), _EX2_TABLE),
+], ids=["ex1", "ex2"])
+def test_csv_matches_recorded_tables(args, want):
+    assert _strip_seconds(write_csv(run_study(*args, elements=400))) == want
 
 
 def test_csv_error_row_shape():
@@ -233,6 +251,14 @@ def test_cli_failure_exit_code(tmp_path):
                 "--elements", "20", "--out", str(tmp_path)], cwd=tmp_path)
     assert res.returncode == 1
     assert "ValueError" in res.stderr
+
+
+def test_cli_rejects_bc_override(tmp_path):
+    # the shipped problems' exact solutions solve their own (Dirichlet)
+    # problem only, so there is no boundary-condition flag to pass
+    with pytest.raises(SystemExit) as exc:
+        main(["--bc", "zeroflux", "--steps", "4", "--elements", "20", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_main_in_process(tmp_path):

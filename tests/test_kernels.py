@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,11 +197,11 @@ def test_ml_domain_validation():
 
 @pytest.mark.parametrize("beta_kind,mu",
                          [(kind, mu) for kind in ("mu", "one")
-                          for mu in (0.15, 0.4, 0.6, 0.8, 0.95)]
+                          for mu in (0.15, 0.4, 0.6, 0.8, 0.95, 0.99)]
                          + [(1.7, 0.6), (2.0, 0.8), (0.3, 0.5)])
 def test_ml_against_oracle(beta_kind, mu):
-    # beta in {1, mu} with mu <= 0.9 takes the Taylor and spectral routes;
-    # mu = 0.95 and the other betas take Taylor, asymptotic and mpmath
+    # beta in {1, mu} with mu <= 0.99 takes the Taylor and spectral routes;
+    # the other betas take Taylor, asymptotic and mpmath
     beta = {"one": 1.0, "mu": mu}.get(beta_kind, beta_kind)
     xs = np.logspace(-6, 8, 15)
     got = mittag_leffler(mu, beta, -xs)
@@ -242,11 +243,11 @@ def test_ml_against_oracle_up_to_taylor_peak_1e3(mu, beta_kind):
         assert g == pytest.approx(ml_oracle(mu, beta, float(x)), rel=2e-12), (mu, beta, x)
 
 
-@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9, 0.95, 0.99])
 @pytest.mark.parametrize("beta_kind", ["one", "mu"])
 def test_ml_spectral_route_never_falls_back(mu, beta_kind, monkeypatch):
     def refuse(*args):
-        raise AssertionError("beta in {1, mu} with mu <= 0.9 must not leave the spectral route")
+        raise AssertionError("beta in {1, mu} with mu <= 0.99 must not leave the spectral route")
 
     monkeypatch.setattr(kernels, "_ml_asymptotic", refuse)
     monkeypatch.setattr(kernels, "_ml_mpmath", refuse)
@@ -255,7 +256,7 @@ def test_ml_spectral_route_never_falls_back(mu, beta_kind, monkeypatch):
     assert np.all(np.isfinite(v)) and np.all(v > 0.0)
 
 
-@given(mu=st.floats(min_value=0.1, max_value=0.9), beta_is_one=st.booleans())
+@given(mu=st.floats(min_value=0.1, max_value=0.99), beta_is_one=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_ml_taylor_meets_spectral_at_switch(mu, beta_is_one):
     beta = 1.0 if beta_is_one else mu
@@ -264,7 +265,7 @@ def test_ml_taylor_meets_spectral_at_switch(mu, beta_is_one):
     assert taylor == pytest.approx(kernels._ml_spectral(mu, beta, z)[0], rel=1e-12)
 
 
-@given(mu=st.floats(min_value=0.1, max_value=0.9), beta_is_one=st.booleans())
+@given(mu=st.floats(min_value=0.1, max_value=0.99), beta_is_one=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_ml_completely_monotone(mu, beta_is_one):
     # beta >= mu: E_{mu,beta}(-z) is completely monotone in z, so positive
@@ -273,6 +274,20 @@ def test_ml_completely_monotone(mu, beta_is_one):
     v = mittag_leffler(mu, beta, -np.logspace(-6, 15, 211))
     assert np.all(v > 0.0)
     assert np.all(np.diff(v) < 0.0)
+
+
+def test_ml_spectral_buffer_is_bounded():
+    # mu = 0.99 takes 2701 quadrature nodes; 30,000 points in one buffer
+    # would be 650 MB, so the points go through in row chunks
+    z = np.logspace(-1, 12, 30_000)
+    kernels._ml_spectral(0.99, 1.0, z[:1])  # build the rule outside the trace
+    tracemalloc.start()
+    try:
+        kernels._ml_spectral(0.99, 1.0, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, peak
 
 
 def test_ml_monotone_decay():

@@ -6,7 +6,6 @@ from scipy import integrate
 
 from fracfp import problems
 from fracfp import (
-    SeriesTruncation,
     TruncationError,
     example1,
     example2,
@@ -15,7 +14,12 @@ from fracfp import (
 
 from oracles import frac_integral_oracle, series_u_oracle
 
-TIGHT = SeriesTruncation(m_max=2_000_000, tail_tol=1e-11, order=6)
+
+@pytest.fixture
+def tight(monkeypatch):
+    """A series cutoff 100x tighter than the default, for oracle comparisons."""
+    monkeypatch.setattr(problems, "_TAIL_TOL", 1e-11)
+    monkeypatch.setattr(problems, "_M_MAX", 2_000_000)
 
 
 # ------------------------------------------------------------- basic values
@@ -178,8 +182,8 @@ def _weak_residual(prob, t, phi, dphi, ddphi):
     (example2, 0.5, 0.8),
     (example2, 0.75, 0.3),
 ])
-def test_pde_residual_vanishes(factory, alpha, t):
-    prob = factory(alpha, trunc=TIGHT)
+def test_pde_residual_vanishes(factory, alpha, t, tight):
+    prob = factory(alpha)
     checks = [
         (lambda x: np.sin(3 * np.pi * x),
          lambda x: 3 * np.pi * np.cos(3 * np.pi * x),
@@ -208,8 +212,8 @@ def test_single_mode_volterra_equation():
 
 # ------------------------------------------------ reference and cache checks
 
-def test_structured_eval_matches_oracle():
-    prob = example1(0.8, trunc=TIGHT)
+def test_structured_eval_matches_oracle(tight):
+    prob = example1(0.8)
     x = np.array([0.3, 0.5, 0.9])
     want = [series_u_oracle(8.0, 3, False, xi, 1.0, 0.8) for xi in x]
     np.testing.assert_allclose(prob.exact(x, 1.0), want, atol=2e-9)
@@ -278,9 +282,11 @@ def test_streamed_modes_match_direct_sum():
     assert grid.sin.shape[0] == problems._ROW_CAP
 
 
-def test_truncation_error_raised():
-    small = SeriesTruncation(m_max=40, tail_tol=1e-14, order=0)
-    prob = example1(0.5, trunc=small)
+def test_truncation_error_raised(monkeypatch):
+    monkeypatch.setattr(problems, "_M_MAX", 40)
+    monkeypatch.setattr(problems, "_TAIL_TOL", 1e-14)
+    monkeypatch.setattr(problems, "_ORDER", 0)
+    prob = example1(0.5)
     with pytest.raises(TruncationError, match="modes"):
         prob.exact(np.array([0.5]), 1e-6)
 
