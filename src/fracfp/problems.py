@@ -281,8 +281,6 @@ def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float
     matrices, and the truncation is chosen at the smallest positive t (its
     bounds only improve with t).  Result shape is t.shape + grid.x.shape.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     tarr = np.asarray(t, dtype=float)
     ts = np.atleast_1d(tarr)
     if np.any(ts < 0.0):
@@ -330,11 +328,14 @@ class ProblemSpec:
 
     The source is t**rho (f_regular + d/dx flux_regular) with smooth
     cofactors.  f_regular is the pointwise part, f the same part with its
-    t**rho factor (the source quadrature prefers f_regular when present);
-    flux_regular is a flux g whose x-derivative is part of the source, which
-    the stepper assembles as -<g, phi'> + [g phi] without differentiating g.
-    exact, u0_prime, f, f_regular, flux_regular may be None; with any source
-    given, rho <= -1 (not integrable at t = 0) is rejected here.
+    t**rho factor; flux_regular is a flux g whose x-derivative is part of
+    the source, which the stepper assembles as -<g, phi'> + [g phi] without
+    differentiating g.
+    exact, u0_prime, f, f_regular, flux_regular may be None, but f and
+    f_regular not both.  Inconsistent inputs are rejected here: alpha outside
+    (0, 1], T <= 0, an empty domain, a bc that is not a BcMode, an unknown
+    default_projection, and rho <= -1 (not integrable at t = 0) with any
+    source given.
     """
 
     name: str
@@ -354,6 +355,19 @@ class ProblemSpec:
     flux_regular: Optional[Callable] = None
 
     def __post_init__(self):
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not self.T > 0.0:
+            raise ValueError(f"T must be positive, got {self.T}")
+        a, b = self.domain
+        if not b > a:
+            raise ValueError(f"domain needs b > a, got {self.domain}")
+        if not isinstance(self.bc, BcMode):
+            raise TypeError(f"bc must be a BcMode, got {self.bc!r}")
+        if self.default_projection not in ("ritz", "l2", "nodal"):
+            raise ValueError(f"unknown projection mode {self.default_projection!r}")
+        if self.f is not None and self.f_regular is not None:
+            raise ValueError("give the pointwise part as f or as f_regular, not both")
         has_source = any(fn is not None for fn in (self.f, self.f_regular, self.flux_regular))
         if has_source and float(self.rho or 0.0) <= -1.0:
             raise ValueError(f"temporal exponent rho = {self.rho} is not integrable")

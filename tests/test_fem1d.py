@@ -6,6 +6,7 @@ import pytest
 from fracfp import (
     BcMode,
     SingularSystemError,
+    TriDiagMatrix,
     assemble_G,
     assemble_mass,
     l2_norm,
@@ -198,6 +199,28 @@ def test_l2_projection_is_mass_orthogonal():
     # residual load must vanish against every basis function
     res = load_vector(u0, mesh) - assemble_mass(mesh, BcMode.ZERO_FLUX).matvec(p)
     np.testing.assert_allclose(res, 0.0, atol=1e-12)
+
+
+def test_mesh_validation():
+    with pytest.raises(ValueError, match="b > a"):
+        uniform_mesh(1.0, 1.0, 8)
+    with pytest.raises(ValueError, match="b > a"):
+        uniform_mesh(1.0, 0.0, 8)
+    with pytest.raises(ValueError, match="2 elements"):
+        uniform_mesh(0.0, 1.0, 1)
+
+
+def test_tridiag_rejects_mismatched_bands():
+    with pytest.raises(ValueError, match="band lengths"):
+        TriDiagMatrix(np.ones(2), np.ones(4), np.ones(3))
+    with pytest.raises(ValueError, match="band lengths"):
+        TriDiagMatrix(np.ones(3), np.ones(4), np.ones(4))
+
+
+def test_l2_norm_rejects_wrong_length():
+    mesh = uniform_mesh(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="expected 9 nodal values"):
+        l2_norm(np.ones(8), mesh)
 
 
 def test_projection_validation():

@@ -220,12 +220,36 @@ _SRC = str(Path(fracfp.__file__).resolve().parents[1])
 _ENTRY = "import sys; from fracfp.harness import main; sys.exit(main())"
 
 
-def _cli(args, cwd):
+def _python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", _ENTRY] + args, cwd=cwd,
+    return subprocess.run([sys.executable] + args, cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=600)
+
+
+def _cli(args, cwd):
+    return _python(["-c", _ENTRY] + args, cwd)
+
+
+# mpmath is a test dependency only: the child blocks its import
+_NO_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+import numpy as np
+from fracfp import mittag_leffler, run_study
+z = np.logspace(-6, 15, 43)
+for mu in (0.5, 0.995, 1.0):
+    for beta in (1.0, mu, 1.7):
+        assert np.all(np.isfinite(mittag_leffler(mu, beta, -z)))
+report = run_study("ex1", [0.995], [1.0], [16], elements=50)
+assert report.ok, [r.error for r in report.rows]
+"""
+
+
+def test_runs_without_mpmath(tmp_path):
+    res = _python(["-c", _NO_MPMATH], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
 
 
 def test_cli_writes_tables_and_traces(tmp_path):

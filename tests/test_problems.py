@@ -282,6 +282,53 @@ def test_streamed_modes_match_direct_sum():
     assert grid.sin.shape[0] == problems._ROW_CAP
 
 
+@pytest.fixture
+def made_grids(monkeypatch):
+    """Every _Grid a problem builds, in order."""
+    made = []
+
+    class Recorded(problems._Grid):
+        __slots__ = ()
+
+        def __init__(self, x):
+            super().__init__(x)
+            made.append(self)
+
+    monkeypatch.setattr(problems, "_Grid", Recorded)
+    return made
+
+
+def test_grid_cache_drops_oldest_past_cap(made_grids):
+    prob = example1(0.7)
+    xs = [np.linspace(0.0, 1.0, 5 + k) for k in range(problems._GRID_CAP + 1)]
+    want = example1(0.7).exact(xs[0], 0.3)
+    made_grids.clear()
+    for x in xs:
+        prob.exact(x, 0.3)
+    assert len(made_grids) == problems._GRID_CAP + 1
+    # the first grid was dropped, so asking for it again builds it anew
+    np.testing.assert_array_equal(prob.exact(xs[0], 0.3), want)
+    assert len(made_grids) == problems._GRID_CAP + 2
+    # the second grid was dropped to make room for it; the last one was kept
+    prob.exact(xs[-1], 0.3)
+    assert len(made_grids) == problems._GRID_CAP + 2
+
+
+def test_exact_memo_starts_over_at_cap(monkeypatch, made_grids):
+    monkeypatch.setattr(problems, "_MEMO_CAP", 3)
+    prob = example1(0.7)
+    x = np.linspace(0.0, 1.0, 11)
+    ts = [0.1, 0.2, 0.3, 0.4, 0.5]
+    for t in ts:
+        prob.exact(x, t)
+    (grid,) = made_grids
+    # cleared when the fourth value arrived, then refilled
+    assert sorted(grid.exact) == [0.4, 0.5]
+    for t in ts:
+        np.testing.assert_array_equal(prob.exact(x, t), example1(0.7).exact(x, t))
+    assert len(grid.exact) <= 3
+
+
 def test_truncation_error_raised(monkeypatch):
     monkeypatch.setattr(problems, "_M_MAX", 40)
     monkeypatch.setattr(problems, "_TAIL_TOL", 1e-14)

@@ -109,7 +109,6 @@ def test_source_matches_adaptive_quadrature():
     g = lambda x, t: (1.0 + 0.5 * t) * np.exp(-x) + x * t
     prob = make_problem(
         alpha=alpha, rho=rho,
-        f=lambda x, t: t ** rho * g(x, t),
         f_regular=_batched(g),
     )
     space = uniform_mesh(0.0, 1.0, 6)
@@ -207,7 +206,6 @@ def test_crank_nicolson_limit():
     prob = make_problem(
         alpha=1.0,
         drift=lambda x, t: np.sin(t) - x,
-        f=f,
         f_regular=_batched(f),
         u0=lambda x: x * (1.0 - x),
     )
@@ -368,6 +366,28 @@ def test_problem_rejects_nonintegrable_rho_when_built():
         replace(prob, rho=-1.5)
     # without a source rho is never used
     assert replace(prob, rho=-2.0, f=None).rho == -2.0
+
+
+@pytest.mark.parametrize("bad", [
+    {"bc": "dirichlet"},
+    {"alpha": 0.0},
+    {"alpha": 1.5},
+    {"T": 0.0},
+    {"domain": (1.0, 1.0)},
+    {"domain": (1.0, 0.0)},
+    {"default_projection": "spline"},
+    {"f": lambda x, t: np.ones_like(x), "f_regular": lambda x, t: np.ones_like(x)},
+], ids=["bc-string", "alpha-zero", "alpha-above-one", "T-zero", "domain-empty",
+        "domain-reversed", "projection", "f-and-f_regular"])
+def test_problem_rejects_inconsistent_inputs_when_built(bad):
+    with pytest.raises((TypeError, ValueError)):
+        make_problem(**bad)
+
+
+def test_source_rejects_reversed_interval():
+    prob = make_problem(f=lambda x, t: np.ones_like(x))
+    with pytest.raises(ValueError, match="bad time interval"):
+        assemble_source(prob, uniform_mesh(0.0, 1.0, 8), (0.3, 0.2))
 
 
 def test_alpha_validation():

@@ -33,6 +33,12 @@ def test_validation_errors():
         build_mesh(1.0, 8, 0.5)
 
 
+def test_underflowing_first_step_rejected():
+    # t_1 = (1e-6)**100 underflows to 0, so the first step is empty
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        build_mesh(1.0, 10**6, 100.0)
+
+
 @given(
     N=st.integers(min_value=1, max_value=2000),
     gamma=st.floats(min_value=1.0, max_value=6.0),
