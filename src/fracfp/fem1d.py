@@ -62,8 +62,8 @@ class SpatialMesh:
 
 
 def uniform_mesh(a: float, b: float, m: int) -> SpatialMesh:
-    if not b > a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise ValueError(f"need finite b > a, got [{a}, {b}]")
     if m < 2:
         raise ValueError(f"need at least 2 elements, got {m}")
     nodes = np.linspace(a, b, m + 1)

@@ -16,18 +16,22 @@ strongly graded meshes, so the evaluator picks the truncation M and the
 tail-correction orders per call from analytic bounds (see _choose_mk) that
 keep everything dropped below _TAIL_TOL = 1e-9 absolute.  Each evaluation
 then does one Mittag-Leffler call and one mode sum, whose weight rows are the
-time levels followed by the correction terms; the corrections are closed
-forms of the damped sums (SineSeries.eval_P, one polyval each).
+time levels followed by the correction terms; the corrections are the gaps
+between the closed forms P_k of the damped sums (SineSeries.eval_P) and
+their partial sums, added to the time rows as one (times x terms) product.
 
 Both are homogeneous Dirichlet problems: exact solves that problem only, so
 a copy with another bc has no exact solution to compare against.
 
 Each problem owns its evaluation caches, shared by its exact and
-flux_regular: per spatial grid, the sin(lam_m x) rows and the exact values
-already computed, by time.  A grid is found by value (shape and contents,
-against a private copy of its points), not by array identity, so editing an
-array in place never returns stale values; exact values come back
-read-only.  A problem keeps at most 8 grids and 4096 exact values per grid.
+flux_regular: per spatial grid, the sin(lam_m x) rows, the closed forms P_k
+on its points (at most _ORDER + 1 rows, each filled the first time its k is
+used) and the exact values already computed, by time; on its series, the
+t-independent constants of _choose_mk, by (beta, alpha).  A grid is found by
+value (shape and contents, against a private copy of its points), not by
+array identity, so editing an array in place never returns stale values;
+exact values come back read-only.  A problem keeps at most 8 grids and 4096
+exact values per grid.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ _ORDER = 6
 # ---------------------------------------------------------------------------
 
 _ROW_CAP = 256
-_CHUNK = 1024
+_MODE_BUF = 1 << 21  # entries of the block streamed modes are built in (16 MB)
 _GRID_CAP = 8  # grids one problem keeps, oldest dropped first
 _MEMO_CAP = 4096  # exact values one grid keeps before it starts over
 _HALF = np.linspace(0.0, 0.5, 129)  # where the primitives' maxima are sampled
@@ -77,16 +81,25 @@ _HALF = np.linspace(0.0, 0.5, 129)  # where the primitives' maxima are sampled
 
 class _Grid:
     """One spatial grid of a series problem: a private copy of its points,
-    their sin(lam_m x) rows (the lam grid is universal) and the exact values
-    already computed on it, by time."""
+    their sin(lam_m x) rows (the lam grid is universal), the closed forms
+    P_k of the problem's series on them, by k, and the exact values already
+    computed on it, by time."""
 
-    __slots__ = ("x", "flat", "sin", "exact")
+    __slots__ = ("x", "flat", "sin", "P", "exact")
 
     def __init__(self, x: np.ndarray):
         self.x = x
         self.flat = x.ravel()
         self.sin = np.empty((0, self.flat.size))
+        self.P: dict = {}
         self.exact: dict = {}
+
+    def closed_form(self, series: "SineSeries", k: int) -> np.ndarray:
+        """P_k on the points; a grid belongs to one problem, so one series."""
+        row = self.P.get(k)
+        if row is None:
+            row = self.P[k] = series.eval_P(k, self.flat)
+        return row
 
     def rows(self, count: int) -> np.ndarray:
         if self.sin.shape[0] < count:
@@ -116,17 +129,19 @@ def _mode_sum(grid: _Grid, weights: np.ndarray) -> np.ndarray:
     """weights @ sin(lam_m x) over the grid; weights is (rows, modes).
 
     The first _ROW_CAP modes come from the grid's cached rows; the rest are
-    built _CHUNK modes at a time in one reused block, so huge truncations
-    never pin huge matrices.  Every weight row (time levels and correction
-    terms alike) shares each block, so a call builds the streamed rows once.
+    built in one reused block of at most _MODE_BUF entries (modes x points),
+    so neither huge truncations nor large grids pin huge matrices.  Every
+    weight row (time levels and correction terms alike) shares each block,
+    so a call builds the streamed rows once.
     """
     count = weights.shape[-1]
     head = min(count, _ROW_CAP)
     out = weights[..., :head] @ grid.rows(head)
     if count > head:
-        block = np.empty((min(_CHUNK, count - head), grid.flat.size))
-        for m0 in range(head, count, _CHUNK):
-            rows = block[: min(_CHUNK, count - m0)]
+        chunk = max(1, _MODE_BUF // grid.flat.size)
+        block = np.empty((min(chunk, count - head), grid.flat.size))
+        for m0 in range(head, count, chunk):
+            rows = block[: min(chunk, count - m0)]
             lam = (2.0 * np.arange(m0, m0 + rows.shape[0]) + 1.0) * math.pi
             np.sin(np.multiply.outer(lam, grid.flat, out=rows), out=rows)
             out += weights[..., m0:m0 + rows.shape[0]] @ rows
@@ -155,6 +170,7 @@ class SineSeries:
         self.power = int(power)
         self.alternating = bool(alternating)
         self._prims: list = []  # (power-basis coefficients of P_k, max |P_k|)
+        self._consts: dict = {}  # (beta, alpha) -> _choose_mk's t-free constants
         self._add_primitive(np.asarray(half_poly.convert().coef, dtype=float))
 
     def _add_primitive(self, coef: np.ndarray) -> None:
@@ -168,6 +184,19 @@ class SineSeries:
             coef[1] += P.polyval(0.5, P.polyint(prev))
             self._add_primitive(coef)
         return self._prims[k]
+
+    def _constants(self, beta: float, alpha: float, order: int):
+        """Lists over j = 0..order of 3 Gamma(1 + alpha(j+1) - beta)/pi,
+        rgamma(beta - alpha j) and max |P_j|, kept by (beta, alpha)."""
+        got = self._consts.get((beta, alpha))
+        if got is None or len(got[0]) <= order:
+            js = range(order + 1)
+            got = self._consts[(beta, alpha)] = (
+                [3.0 * math.gamma(1.0 + alpha * (j + 1) - beta) / math.pi for j in js],
+                rgamma(beta - alpha * np.arange(order + 1)).tolist(),
+                [self._primitive(j)[1] for j in js],
+            )
+        return got
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         lam = (2.0 * m + 1.0) * math.pi
@@ -223,22 +252,22 @@ def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float):
     """
     A = abs(series.amplitude)
     p = series.power
+    env, rgs, pmax = series._constants(beta, alpha, _ORDER)
     best = None
     with np.errstate(over="ignore"):
         for J in range(_ORDER + 1):
             e_env = p + 2 * (J + 1)
-            c_env = (3.0 * math.gamma(1.0 + alpha * (J + 1) - beta) / math.pi
-                     * t ** (-alpha * (J + 1)) * A / (0.5 * _TAIL_TOL))
+            c_env = env[J] * t ** (-alpha * (J + 1)) * A / (0.5 * _TAIL_TOL)
             if not math.isfinite(c_env):
                 continue
             m_req = _modes_for(c_env, e_env)
             terms = []
             feasible = True
             for k in range(1, J + 1):
-                rg = abs(float(rgamma(beta - alpha * k)))
+                rg = abs(rgs[k])
                 if rg == 0.0:
                     continue
-                noise = t ** (-alpha * k) * 5.0e-16 * series._primitive(k)[1] * rg
+                noise = t ** (-alpha * k) * 5.0e-16 * pmax[k] * rg
                 if noise <= 0.1 * _TAIL_TOL:
                     terms.append(k)
                 else:
@@ -260,7 +289,7 @@ def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float):
     # drop corrections that the final M already renders negligible
     kept = []
     for k in terms:
-        rg = abs(float(rgamma(beta - alpha * k)))
+        rg = abs(rgs[k])
         e_k = p + 2 * k
         size = (rg * t ** (-alpha * k) * A * math.pi ** (-e_k)
                 * (2.0 * m_fin + 1.0) ** (1 - e_k) / (2.0 * (e_k - 1.0)))
@@ -285,16 +314,15 @@ def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float
     ts = np.atleast_1d(tarr)
     if np.any(ts < 0.0):
         raise ValueError("series evaluation requires t >= 0")
-    flat = grid.flat
 
     beta = 1.0 if kind == "u" else alpha
 
-    out = np.empty((ts.size, flat.size))
+    out = np.empty((ts.size, grid.flat.size))
     pos = ts > 0.0
     if not pos.all():
         # E(0) = 1/Gamma(beta) mode-independently, so the closed form applies
         scale = 1.0 if kind == "u" else float(rgamma(alpha))
-        out[~pos] = series.eval_P(0, flat) * scale
+        out[~pos] = grid.closed_form(series, 0) * scale
     if pos.any():
         tp = ts[pos]
         M, terms = _choose_mk(series, beta, float(tp.min()), alpha)
@@ -306,11 +334,12 @@ def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float
         # time rows c E, then one row c lam**(-2k) per correction term
         sums = _mode_sum(grid, np.vstack([c * E] + [c * lam ** (-2.0 * k) for k in terms]))
         head = sums[: tp.size]
-        for k, partial in zip(terms, sums[tp.size:]):
-            rg = float(rgamma(beta - alpha * k))
-            sign = 1.0 if k % 2 == 1 else -1.0
-            gap = series.eval_P(k, flat) - partial
-            head += (sign * rg) * np.outer(tp ** (-alpha * k), gap)
+        if terms:
+            # term k adds (-1)^(k+1) rgamma(beta - alpha k) t**(-alpha k) (P_k - partial)
+            rgs = series._constants(beta, alpha, _ORDER)[1]
+            sign_rg = np.array([rgs[k] if k % 2 == 1 else -rgs[k] for k in terms])
+            gaps = np.array([grid.closed_form(series, k) for k in terms]) - sums[tp.size:]
+            head += (sign_rg * tp[:, None] ** (-alpha * np.array(terms))) @ gaps
         out[pos] = head
     if tarr.ndim == 0:
         return _shape(out[0], grid.x)

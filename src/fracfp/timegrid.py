@@ -1,6 +1,7 @@
 """Graded time meshes concentrating steps near t = 0."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +28,19 @@ def build_mesh(T: float, N: int, gamma: float) -> GradedMesh:
     Nodes are computed in closed form rather than multiplicatively so that
     no drift accumulates for large N.
     """
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be positive and finite, got {T}")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
     tau = T ** (1.0 / gamma) / N
     i = np.arange(N + 1, dtype=float)
     nodes = (i * tau) ** gamma
     nodes[0] = 0.0
     nodes[N] = T  # closed form is exact up to roundoff; pin the endpoint
     steps = np.diff(nodes)
-    if np.any(steps <= 0):
+    if not np.all(steps > 0):
         raise ValueError("mesh nodes are not strictly increasing")
     return GradedMesh(T=float(T), N=int(N), gamma=float(gamma), nodes=nodes, steps=steps)
 

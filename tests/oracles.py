@@ -3,7 +3,9 @@
 Everything here runs on different machinery than the library (mpmath
 arbitrary precision, QUADPACK adaptive quadrature, dense linear algebra),
 so agreement between the two routes is meaningful evidence and never a
-tautology.
+tautology.  The one exception is structured_eval_per_term, a reference for
+a rearrangement of arithmetic: it reuses the library's truncation, mode sum
+and closed forms on purpose, so that only the rearranged step differs.
 """
 
 import math
@@ -97,6 +99,36 @@ def series_u_oracle(amplitude: float, power: int, alternating: bool,
             comp += (term - new) + total
         total = new
     return total + comp
+
+
+def structured_eval_per_term(series, kind: str, grid, t, alpha: float) -> np.ndarray:
+    """problems._eval_structured at positive times, corrections added one
+    term at a time.
+
+    Each correction term k evaluates its closed form P_k afresh and adds
+    (-1)^(k+1) rgamma(beta - alpha k) t**(-alpha k) (P_k - partial) to the
+    time rows by its own outer product.  Returns shape (times, points).
+    """
+    from scipy.special import rgamma
+
+    from fracfp import mittag_leffler, problems
+
+    tp = np.atleast_1d(np.asarray(t, dtype=float))
+    beta = 1.0 if kind == "u" else alpha
+    M, terms = problems._choose_mk(series, beta, float(tp.min()), alpha)
+    m = np.arange(M + 1)
+    lam = (2.0 * m + 1.0) * math.pi
+    c = series.coeffs(m)
+    z = np.outer(tp ** alpha, lam * lam)
+    E = np.asarray(mittag_leffler(alpha, beta, -z.ravel())).reshape(z.shape)
+    sums = problems._mode_sum(grid, np.vstack([c * E] + [c * lam ** (-2.0 * k) for k in terms]))
+    head = sums[: tp.size]
+    for k, partial in zip(terms, sums[tp.size:]):
+        rg = float(rgamma(beta - alpha * k))
+        sign = 1.0 if k % 2 == 1 else -1.0
+        gap = series.eval_P(k, grid.flat) - partial
+        head += (sign * rg) * np.outer(tp ** (-alpha * k), gap)
+    return head
 
 
 def tridiag_dense(A) -> np.ndarray:

@@ -210,6 +210,12 @@ def test_mesh_validation():
         uniform_mesh(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0)])
+def test_mesh_rejects_infinite_domain(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        uniform_mesh(a, b, 10)
+
+
 def test_tridiag_rejects_mismatched_bands():
     with pytest.raises(ValueError, match="band lengths"):
         TriDiagMatrix(np.ones(2), np.ones(4), np.ones(3))

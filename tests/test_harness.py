@@ -200,6 +200,12 @@ def test_csv_matches_recorded_tables(args, want):
     assert _strip_seconds(write_csv(run_study(*args, elements=400))) == want
 
 
+def test_non_finite_gamma_fails_when_meshed():
+    # the row names the bad grading, not a NaN time interval met mid-solve
+    (row,) = run_study("ex1", [0.7], [float("nan")], [8], elements=50).rows
+    assert row.error is not None and "gamma must be finite" in row.error
+
+
 def test_csv_error_row_shape():
     row = StudyRow(problem="ex1", alpha=0.5, gamma=1.0, N=4, h=0.05,
                    error="ValueError: boom")

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy import integrate
 
 from fracfp import problems
@@ -10,9 +12,10 @@ from fracfp import (
     example1,
     example2,
     mittag_leffler,
+    run_study,
 )
 
-from oracles import frac_integral_oracle, series_u_oracle
+from oracles import frac_integral_oracle, series_u_oracle, structured_eval_per_term
 
 
 @pytest.fixture
@@ -269,17 +272,83 @@ def test_one_mode_sum_per_evaluation(monkeypatch):
 
 
 def test_streamed_modes_match_direct_sum():
-    # modes past the cached rows are built chunk by chunk
-    x = np.linspace(0.0, 1.0, 7)
+    # modes past the cached rows are built block by block, more than one here
+    x = np.linspace(0.0, 1.0, 512)
     grid = problems._find_grid([], x)
     grid.rows(200)
-    count = problems._ROW_CAP + problems._CHUNK + 5
+    count = problems._ROW_CAP + 2 * (problems._MODE_BUF // x.size) + 5
     weights = np.random.default_rng(1).standard_normal((2, count))
     lam = (2.0 * np.arange(count) + 1.0) * math.pi
     np.testing.assert_allclose(problems._mode_sum(grid, weights),
                                weights @ np.sin(np.outer(lam, x)), rtol=1e-12, atol=1e-12)
     # the cached rows never grow past the cap
     assert grid.sin.shape[0] == problems._ROW_CAP
+
+
+def test_streamed_block_is_bounded():
+    # 3000 modes on the 8002-point flux grid: a block of 1024 modes would be
+    # 65 MB, so the block is capped by entries instead
+    grid = problems._find_grid([], np.linspace(0.0, 1.0, 8002))
+    grid.rows(problems._ROW_CAP)  # the cached rows are built outside the trace
+    weights = np.random.default_rng(2).standard_normal((12, 3000))
+    tracemalloc.start()
+    try:
+        problems._mode_sum(grid, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+
+
+def _series(name):
+    """The SineSeries of example1 / example2."""
+    if name == "ex1":
+        return problems.SineSeries(8.0, 3, False, Polynomial([0.0, 1.0, -1.0]))
+    return problems.SineSeries(4.0, 2, True, Polynomial([0.0, 1.0]))
+
+
+_SWEEP_ALPHAS = (0.4, 0.6, 0.7, 0.9)
+_SWEEP_TIMES = np.logspace(-10, 0, 21)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_corrections_match_per_term_oracle(name):
+    # the corrections go in as one (times x terms) product; adding them one
+    # outer product at a time gives the same values to rounding
+    x = np.linspace(0.0, 1.0, 201)
+    for alpha in _SWEEP_ALPHAS:
+        for kind in "uv":
+            series = _series(name)
+            grid = problems._find_grid([], x)
+            got = problems._eval_structured(series, kind, grid, _SWEEP_TIMES, alpha)
+            want = structured_eval_per_term(series, kind, grid, _SWEEP_TIMES, alpha)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            for t in _SWEEP_TIMES:
+                got = problems._eval_structured(series, kind, grid, float(t), alpha)
+                want = structured_eval_per_term(series, kind, grid, float(t), alpha)[0]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_choose_mk_constants_kept_per_beta_alpha(name):
+    # one series answers for every (beta, alpha) in turn; its kept constants
+    # never change a choice against a series that has seen nothing
+    shared = _series(name)
+    for alpha in _SWEEP_ALPHAS:
+        for beta in (1.0, alpha):
+            for t in _SWEEP_TIMES:
+                got = problems._choose_mk(shared, beta, float(t), alpha)
+                assert got == problems._choose_mk(_series(name), beta, float(t), alpha)
+
+
+def test_choose_mk_reads_order_at_call_time(monkeypatch):
+    # constants kept under a lower _ORDER are extended when it is raised
+    series = _series("ex1")
+    monkeypatch.setattr(problems, "_ORDER", 0)
+    low = problems._choose_mk(series, 1.0, 1e-3, 0.7)
+    monkeypatch.setattr(problems, "_ORDER", 6)
+    high = problems._choose_mk(series, 1.0, 1e-3, 0.7)
+    assert high == problems._choose_mk(_series("ex1"), 1.0, 1e-3, 0.7) != low
 
 
 @pytest.fixture
@@ -327,6 +396,48 @@ def test_exact_memo_starts_over_at_cap(monkeypatch, made_grids):
     for t in ts:
         np.testing.assert_array_equal(prob.exact(x, t), example1(0.7).exact(x, t))
     assert len(grid.exact) <= 3
+
+
+def test_study_work_counts(monkeypatch, made_grids):
+    # each closed form P_k is evaluated once per grid, and _choose_mk's
+    # t-independent constants once per (beta, alpha)
+    on = []
+    eval_P = problems.SineSeries.eval_P
+
+    def counted_P(self, k, x):
+        on.append((k, x))
+        return eval_P(self, k, x)
+
+    rgamma_calls = [0]
+    rgamma = problems.rgamma
+
+    def counted_rgamma(z):
+        rgamma_calls[0] += 1
+        return rgamma(z)
+
+    choices = []
+    choose_mk = problems._choose_mk
+
+    def counted_choose_mk(series, beta, t, alpha):
+        before = rgamma_calls[0]
+        got = choose_mk(series, beta, t, alpha)
+        choices.append(((beta, alpha), rgamma_calls[0] - before))
+        return got
+
+    monkeypatch.setattr(problems.SineSeries, "eval_P", counted_P)
+    monkeypatch.setattr(problems, "rgamma", counted_rgamma)
+    monkeypatch.setattr(problems, "_choose_mk", counted_choose_mk)
+    report = run_study("ex1", [0.7], [2.3], [64], elements=200)
+    assert report.ok
+    assert len(made_grids) == 2  # the nodal grid and the flux grid
+    for grid in made_grids:
+        ks = [k for k, x in on if x is grid.flat]
+        assert 0 < len(ks) == len(set(ks)) <= problems._ORDER + 1
+    seen = set()
+    for key, calls in choices:
+        assert (calls > 0) == (key not in seen), (key, calls)
+        seen.add(key)
+    assert seen == {(1.0, 0.7), (0.7, 0.7)}
 
 
 def test_truncation_error_raised(monkeypatch):

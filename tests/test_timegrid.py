@@ -33,6 +33,14 @@ def test_validation_errors():
         build_mesh(1.0, 8, 0.5)
 
 
+@pytest.mark.parametrize("T,gamma", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)])
+def test_non_finite_input_rejected(T, gamma):
+    # NaN compares false both ways, so only an explicit finiteness check
+    # stops it before it fills the nodes
+    with pytest.raises(ValueError, match="finite"):
+        build_mesh(T, 8, gamma)
+
+
 def test_underflowing_first_step_rejected():
     # t_1 = (1e-6)**100 underflows to 0, so the first step is empty
     with pytest.raises(ValueError, match="not strictly increasing"):
