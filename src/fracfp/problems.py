@@ -19,14 +19,17 @@ then does one Mittag-Leffler call and one mode sum, whose weight rows are the
 time levels followed by the correction terms; the corrections are the gaps
 between the closed forms P_k of the damped sums (SineSeries.eval_P) and
 their partial sums, added to the time rows as one (times x terms) product.
+Modes past the cached rows go by FFT on lattice grids, such as every grid the
+solver builds (see _mode_sum).  alpha = 1 makes both series exponentials.
 
 Both are homogeneous Dirichlet problems: exact solves that problem only, so
 a copy with another bc has no exact solution to compare against.
 
 Each problem owns its evaluation caches, shared by its exact and
-flux_regular: per spatial grid, the sin(lam_m x) rows, the closed forms P_k
-on its points (at most _ORDER + 1 rows, each filled the first time its k is
-used) and the exact values already computed, by time; on its series, the
+flux_regular: per spatial grid, the sin(lam_m x) rows, its lattice (found
+the first time a mode sum needs it), the closed forms P_k on its points (at
+most _ORDER + 1 rows, each filled the first time its k is used) and the
+exact values already computed, by time; on its series, the
 t-independent constants of _choose_mk, by (beta, alpha).  A grid is found by
 value (shape and contents, against a private copy of its points), not by
 array identity, so editing an array in place never returns stale values;
@@ -77,20 +80,22 @@ _MODE_BUF = 1 << 21  # entries of the block streamed modes are built in (16 MB)
 _GRID_CAP = 8  # grids one problem keeps, oldest dropped first
 _MEMO_CAP = 4096  # exact values one grid keeps before it starts over
 _HALF = np.linspace(0.0, 0.5, 129)  # where the primitives' maxima are sampled
+_UNSEEN = object()  # a grid's lattice before a mode sum first needs it
 
 
 class _Grid:
     """One spatial grid of a series problem: a private copy of its points,
-    their sin(lam_m x) rows (the lam grid is universal), the closed forms
-    P_k of the problem's series on them, by k, and the exact values already
-    computed on it, by time."""
+    their sin(lam_m x) rows (the lam grid is universal), its lattice (see
+    _lattice), the closed forms P_k of the problem's series on them, by k,
+    and the exact values already computed on it, by time."""
 
-    __slots__ = ("x", "flat", "sin", "P", "exact")
+    __slots__ = ("x", "flat", "sin", "lattice", "P", "exact")
 
     def __init__(self, x: np.ndarray):
         self.x = x
         self.flat = x.ravel()
         self.sin = np.empty((0, self.flat.size))
+        self.lattice = _UNSEEN
         self.P: dict = {}
         self.exact: dict = {}
 
@@ -107,6 +112,41 @@ class _Grid:
             lam = (2.0 * np.arange(self.sin.shape[0], grow) + 1.0) * math.pi
             self.sin = np.vstack([self.sin, np.sin(np.outer(lam, self.flat))])
         return self.sin[:count]
+
+
+def _lattice(x: np.ndarray):
+    """(L, c, cls, jmod, phase) when every point is x = (j + c[cls])/L, j an
+    integer, to 4 ulps of max|x|, with L <= x.size and at most 8 offsets c;
+    else None.  cls (int8) is each point's class, jmod (int32) is j mod L and
+    phase is e^{i pi (j + c)/L}.
+
+    L is tried from the integer reciprocals of the first point differences,
+    largest first.  Points are grouped by x L mod 1, each class's offset is
+    the actual value at its first point (not a rounded key), and every point
+    is checked against it.
+    """
+    if not np.isfinite(x).all():
+        return None
+    d = np.abs(x[1:9] - x[0])
+    inv = 1.0 / d[d > 0.0]
+    cand = np.rint(inv)
+    for L in np.unique(cand[(np.abs(inv - cand) <= 1e-6 * inv) & (cand >= 1) & (cand <= x.size)])[::-1]:
+        y = x * L
+        frac = y - np.floor(y)
+        key = np.rint(frac * 2.0**24).astype(np.int64) % 2**24  # 1 wraps to 0
+        _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+        c = frac[first]
+        j = np.rint(y - c[cls])
+        if c.size <= 8 and np.all(np.abs(x - (j + c[cls]) / L) <= 4.0 * np.finfo(float).eps * np.abs(x).max()):
+            # e^{i pi x} is 2L-periodic in j: reduce j mod 2L (not mod L,
+            # which would flip its sign) and split off quarter turns, so the
+            # angle left is small and the phase exact where x L is an integer
+            j2 = np.mod(j, 2 * L)
+            quarter = np.rint(2.0 * (j2 + c[cls]) / L)
+            angle = math.pi * (2.0 * j2 - quarter * L + 2.0 * c[cls]) / (2.0 * L)
+            phase = np.array([1.0, 1j, -1.0, -1j])[quarter.astype(np.int64) % 4] * np.exp(1j * angle)
+            return int(L), c, cls.astype(np.int8), np.mod(j, L).astype(np.int32), phase
+    return None
 
 
 def _find_grid(grids: list, x) -> _Grid:
@@ -128,16 +168,33 @@ def _find_grid(grids: list, x) -> _Grid:
 def _mode_sum(grid: _Grid, weights: np.ndarray) -> np.ndarray:
     """weights @ sin(lam_m x) over the grid; weights is (rows, modes).
 
-    The first _ROW_CAP modes come from the grid's cached rows; the rest are
-    built in one reused block of at most _MODE_BUF entries (modes x points),
-    so neither huge truncations nor large grids pin huge matrices.  Every
-    weight row (time levels and correction terms alike) shares each block,
-    so a call builds the streamed rows once.
+    The first _ROW_CAP modes come from the grid's cached rows.  On a lattice
+    grid, x = (j + c)/L, the rest go by FFT: sum_m b_m sin(lam_m x) =
+    Im[e^{i pi x} sum_m (b_m e^{2 pi i m c/L}) e^{2 pi i m j/L}], so per
+    offset class the twiddled weights fold mod L into one length-L inverse
+    FFT, read at j mod L.  Other grids build the modes in one reused block of
+    at most _MODE_BUF entries (modes x points), so neither huge truncations
+    nor large grids pin huge matrices.  All weight rows (time levels and
+    correction terms alike) share each FFT or block.
     """
     count = weights.shape[-1]
     head = min(count, _ROW_CAP)
     out = weights[..., :head] @ grid.rows(head)
-    if count > head:
+    if count > head and grid.lattice is _UNSEEN:
+        grid.lattice = _lattice(grid.flat)  # most grids never get here
+    if count > head and grid.lattice is not None:
+        L, c, cls, jmod, phase = grid.lattice
+        tail = np.zeros(weights.shape[:-1] + (-(-count // L), L))  # (rows, folds, L)
+        tail.reshape(weights.shape[:-1] + (-1,))[..., head:count] = weights[..., head:]
+        # turns of e^{2 pi i q c} for m = q L + r, reduced mod 1 exactly:
+        # q * hi is exact for q < 2**27, and q * (c - hi) is tiny
+        hi = np.floor(c * 2.0**26) / 2.0**26
+        q = np.arange(tail.shape[-2])
+        turns = 2.0 * math.pi * (np.mod(np.multiply.outer(hi, q), 1.0) + np.multiply.outer(c - hi, q))
+        spec = (np.cos(turns) @ tail + 1j * (np.sin(turns) @ tail)) \
+            * np.exp(2j * math.pi * np.multiply.outer(c, np.arange(L)) / L)
+        out += L * (phase * np.fft.ifft(spec, axis=-1)[..., cls, jmod]).imag
+    elif count > head:
         chunk = max(1, _MODE_BUF // grid.flat.size)
         block = np.empty((min(chunk, count - head), grid.flat.size))
         for m0 in range(head, count, chunk):
@@ -254,34 +311,36 @@ def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float):
     p = series.power
     env, rgs, pmax = series._constants(beta, alpha, _ORDER)
     best = None
-    with np.errstate(over="ignore"):
-        for J in range(_ORDER + 1):
-            e_env = p + 2 * (J + 1)
+    for J in range(_ORDER + 1):
+        e_env = p + 2 * (J + 1)
+        try:
             c_env = env[J] * t ** (-alpha * (J + 1)) * A / (0.5 * _TAIL_TOL)
-            if not math.isfinite(c_env):
+        except OverflowError:  # the float power; the powers below are smaller
+            continue
+        if not math.isfinite(c_env):
+            continue
+        m_req = _modes_for(c_env, e_env)
+        terms = []
+        feasible = True
+        for k in range(1, J + 1):
+            rg = abs(rgs[k])
+            if rg == 0.0:
                 continue
-            m_req = _modes_for(c_env, e_env)
-            terms = []
-            feasible = True
-            for k in range(1, J + 1):
-                rg = abs(rgs[k])
-                if rg == 0.0:
-                    continue
-                noise = t ** (-alpha * k) * 5.0e-16 * pmax[k] * rg
-                if noise <= 0.1 * _TAIL_TOL:
-                    terms.append(k)
-                else:
-                    c_kill = rg * t ** (-alpha * k) * A / (0.1 * _TAIL_TOL)
-                    if not math.isfinite(c_kill):
-                        feasible = False
-                        break
-                    m_req = max(m_req, _modes_for(c_kill, p + 2 * k))
-            if not feasible:
-                continue
-            if best is None or m_req < best[0]:
-                best = (m_req, terms)
-            if m_req == 0:
-                break
+            noise = t ** (-alpha * k) * 5.0e-16 * pmax[k] * rg
+            if noise <= 0.1 * _TAIL_TOL:
+                terms.append(k)
+            else:
+                c_kill = rg * t ** (-alpha * k) * A / (0.1 * _TAIL_TOL)
+                if not math.isfinite(c_kill):
+                    feasible = False
+                    break
+                m_req = max(m_req, _modes_for(c_kill, p + 2 * k))
+        if not feasible:
+            continue
+        if best is None or m_req < best[0]:
+            best = (m_req, terms)
+        if m_req == 0:
+            break
     if best is None or best[0] > _M_MAX:
         have = "inf" if best is None else str(best[0])
         raise TruncationError(f"series needs {have} modes at t = {t:g} (cap {_M_MAX})")
@@ -404,8 +463,9 @@ class ProblemSpec:
 
 def _series_problem(name: str, alpha: float, series: SineSeries,
                     default_projection: str) -> ProblemSpec:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"the manufactured problems require 0 < alpha < 1, got {alpha}")
+    """The problem whose exact solution is series' u for alpha in (0, 1]."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"the manufactured problems require 0 < alpha <= 1, got {alpha}")
     grids: list = []  # shared by exact and flux_regular
 
     def exact(x, t):

@@ -6,6 +6,8 @@ so agreement between the two routes is meaningful evidence and never a
 tautology.  The one exception is structured_eval_per_term, a reference for
 a rearrangement of arithmetic: it reuses the library's truncation, mode sum
 and closed forms on purpose, so that only the rearranged step differs.
+lattice_sum_oracle takes the lattice spacing and offsets the library found,
+to name the exact points it sums at, but sums by direct sines.
 """
 
 import math
@@ -24,6 +26,10 @@ def ml_oracle(mu: float, beta: float, x: float) -> float:
     any tolerance used in the tests).  Gamma arguments are assembled in
     mpf arithmetic: mu*k + beta rounded in float64 would shift the poles
     enough to destroy the cancellation this series relies on.
+
+    Not covered: at mu = 0.02 the asymptotic sum fails to settle
+    (RuntimeError) in the band 1.10 <= x <= 1.23, where x**(1/mu) runs from
+    the branch point 95 to about 3e4; no test point lies there.
     """
     if x < 0:
         raise ValueError("oracle covers the negative real axis only, pass x >= 0")
@@ -31,10 +37,11 @@ def ml_oracle(mu: float, beta: float, x: float) -> float:
         return float(mp.rgamma(beta))
     # x**(1/mu) is the log of the largest Taylor term AND the exponent of the
     # asymptotic envelope minimum (~exp(-x**(1/mu))), so one number decides
-    # the branch: beyond 95 the divergent tail truncates below ~5e-42
-    peak = x ** (1.0 / mu) / mu
-    if x ** (1.0 / mu) < 95.0:
+    # the branch: beyond 95 the divergent tail truncates below ~5e-42.  The
+    # decision is made in logs, since x**(1/mu) overflows at small mu
+    if math.log(x) / mu < math.log(95.0):
         lm = x ** (1.0 / mu)
+        peak = lm / mu
         dps = 40 + int(1.2 * lm / math.log(10.0))
         with mp.workdps(dps):
             mz = -mp.mpf(x)
@@ -75,6 +82,29 @@ def ml_oracle(mu: float, beta: float, x: float) -> float:
             assert env < prev_env, "asymptotic tail not converging"
             prev_env = env
         raise RuntimeError("oracle asymptotic sum failed to settle")
+
+
+_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def lattice_sum_oracle(lattice, x: np.ndarray, weights: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """weights @ sin((2m+1) pi x) at x[pts], each point moved onto the exact
+    lattice point (j + c)/L nearest it, for lattice = (L, c, ...).
+
+    The phase (2m+1)(j + c) is reduced mod 2L before the sine: in integers
+    for the (2m+1) j part, and in np.longdouble (64-bit mantissa on x86-64)
+    for (2m+1) c, so no rounding of lam_m x enters; the sum is taken in
+    np.longdouble too.
+    """
+    L, c = lattice[0], lattice[1]
+    y = x[pts] * L
+    dev = np.abs(y[:, None] - c[None, :] - np.rint(y[:, None] - c[None, :]))
+    cp = c[np.argmin(dev, axis=1)]
+    j = np.rint(y - cp).astype(np.int64)
+    odd = 2 * np.arange(weights.shape[-1], dtype=np.int64) + 1
+    r = np.mod(np.outer(odd, j), 2 * L).astype(np.longdouble)
+    r = np.mod(r + np.outer(odd.astype(np.longdouble), cp.astype(np.longdouble)), 2 * L)
+    return (weights.astype(np.longdouble) @ np.sin(_PI_LD * r / L)).astype(float)
 
 
 def series_u_oracle(amplitude: float, power: int, alternating: bool,

@@ -56,6 +56,10 @@ REF_EX1_A07 = {
 REF_EX1_SPOTS = [(0.5, 3.2, 4.5e-06, 1.966), (0.4, 4.0, 5.0e-06, 1.945)]
 # same layout for ex2, measured in the t**(alpha/4)-weighted norm
 REF_EX2_SPOTS = [(0.6, 3.3, 2.8e-06, 1.987), (0.4, 5.0, 3.1e-06, 1.958)]
+# ex1 on 1000 elements as alpha -> 1 (the scheme is Crank-Nicolson at 1):
+# alpha -> (eps at N = 128 with gamma = 2, rate over N = 64 -> 128 with gamma = 1)
+REF_EX1_ALPHA_TO_1 = {0.9: (1.069e-05, 1.112), 0.99: (9.844e-06, 1.242),
+                      0.999: (9.804e-06, 1.253), 1.0: (9.801e-06, 1.254)}
 
 
 def make_problem(**kw):
@@ -148,6 +152,29 @@ def test_criterion_03_weighted_error_spot_checks():
         assert abs(rate - min(alpha * gamma, 2.0)) <= 0.1
         parts.append(f"a={alpha} g={gamma}: weps={weps:.3e} rate={rate:.4f}")
     print("PASS criterion 3: " + "; ".join(parts))
+
+
+def test_alpha_robust_up_to_one():
+    # the error constant and the rate law min(1.25 alpha gamma, 2) hold
+    # uniformly as alpha -> 1, alpha = 1 included
+    alphas = sorted(REF_EX1_ALPHA_TO_1)
+    graded = run_study("ex1", alphas, [2.0], [32, 64, 128], elements=1000)
+    uniform = run_study("ex1", alphas, [1.0], [32, 64, 128], elements=1000)
+    assert graded.ok and uniform.ok
+    eps = np.array([graded.find(a, 2.0, 128).eps for a in alphas])
+    for a in alphas:
+        for n in (32, 64):
+            assert graded.find(a, 2.0, n).eps_rate >= 1.9, (a, n)
+        rate = uniform.find(a, 1.0, 64).eps_rate
+        assert abs(rate - min(1.25 * a, 2.0)) <= 0.1, (a, rate)
+        eps_ref, rate_ref = REF_EX1_ALPHA_TO_1[a]
+        assert abs(graded.find(a, 2.0, 128).eps - eps_ref) / eps_ref <= 0.10, a
+        assert abs(rate - rate_ref) <= 0.05, (a, rate)
+    spread = eps.max() / eps.min() - 1.0
+    assert spread < 0.15, eps
+    print(f"PASS alpha -> 1: eps(N=128, gamma=2) spread {spread:.1%} over alpha "
+          f"{alphas}; gamma=1 rates "
+          + ", ".join(f"{uniform.find(a, 1.0, 64).eps_rate:.3f}" for a in alphas))
 
 
 def test_criterion_04_grading_monotonicity_and_error_profile():

@@ -13,9 +13,16 @@ from fracfp import (
     example2,
     mittag_leffler,
     run_study,
+    uniform_mesh,
 )
+from fracfp.fem1d import gauss_points
 
-from oracles import frac_integral_oracle, series_u_oracle, structured_eval_per_term
+from oracles import (
+    frac_integral_oracle,
+    lattice_sum_oracle,
+    series_u_oracle,
+    structured_eval_per_term,
+)
 
 
 @pytest.fixture
@@ -272,8 +279,10 @@ def test_one_mode_sum_per_evaluation(monkeypatch):
 
 
 def test_streamed_modes_match_direct_sum():
-    # modes past the cached rows are built block by block, more than one here
-    x = np.linspace(0.0, 1.0, 512)
+    # modes past the cached rows are built block by block, more than one
+    # here; the points are off any lattice, so the FFT route does not apply
+    x = np.linspace(0.0, 1.0, 512) ** 1.5
+    assert problems._lattice(x) is None
     grid = problems._find_grid([], x)
     grid.rows(200)
     count = problems._ROW_CAP + 2 * (problems._MODE_BUF // x.size) + 5
@@ -298,6 +307,82 @@ def test_streamed_block_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32e6, peak
+
+
+def test_streamed_block_is_bounded_off_lattice():
+    # the same sum on points with no lattice takes the streamed block
+    x = np.linspace(0.0, 1.0, 8002) ** 1.5
+    assert problems._lattice(x) is None
+    grid = problems._find_grid([], x)
+    grid.rows(problems._ROW_CAP)
+    weights = np.random.default_rng(2).standard_normal((12, 3000))
+    tracemalloc.start()
+    try:
+        problems._mode_sum(grid, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+
+
+def _solver_grids(elements):
+    """The flux grid and the nodal grid the solver hands a series."""
+    mesh = uniform_mesh(0.0, 1.0, elements)
+    return np.append(gauss_points(mesh), [0.0, 1.0]), mesh.nodes
+
+
+@pytest.mark.parametrize("elements", [2, 7, 200, 2000, 4096])
+def test_solver_grids_are_lattices(elements):
+    flux, nodes = _solver_grids(elements)
+    L, c, cls, jmod, _ = problems._lattice(flux)
+    assert L == elements and c.size == 5 and cls.dtype == np.int8 and jmod.dtype == np.int32
+    # the four Gauss offsets, and 0 for the two ends
+    gauss = 0.5 + 0.5 * np.polynomial.legendre.leggauss(4)[0]
+    np.testing.assert_allclose(np.sort(c), np.append(0.0, gauss), atol=1e-12)
+    L, c, _, _, _ = problems._lattice(nodes)
+    assert L == elements and c.size == 1
+
+
+@pytest.mark.parametrize("x", [np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 200)),
+                               np.linspace(0.0, 1.0, 512) ** 1.5,
+                               np.array([0.5]),
+                               np.array([0.0, 0.5, np.nan])])
+def test_other_points_have_no_lattice(x):
+    assert problems._lattice(x) is None
+
+
+@pytest.mark.parametrize("kind, elements", [(kind, elements) for kind in ("flux", "nodes")
+                                             for elements in (2, 7, 400, 2000)] + [("wide", 100)])
+def test_lattice_modes_match_exact_phase_oracle(kind, elements):
+    # the FFT route alone (head weights zero), from one mode past the cached
+    # rows to past 2L + 1 modes, where the fold wraps at least twice
+    if kind == "wide":
+        x = np.linspace(-1.0, 2.0, 301)  # lattice points outside [0, 1]
+    else:
+        x = _solver_grids(elements)[kind == "nodes"]
+    grid = problems._find_grid([], x)
+    lattice = problems._lattice(x)
+    L = lattice[0]
+    assert L == elements
+    pts = np.unique(np.linspace(0, x.size - 1, 120).astype(int))
+    rng = np.random.default_rng(elements)
+    for count in sorted({problems._ROW_CAP + 1, 2 * L + 3, max(2 * L, problems._ROW_CAP) + 300}):
+        weights = np.vstack([np.ones(count), rng.standard_normal(count)])
+        weights[:, :problems._ROW_CAP] = 0.0
+        want = lattice_sum_oracle(lattice, x, weights, pts)
+        np.testing.assert_allclose(problems._mode_sum(grid, weights)[:, pts], want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("elements", [2, 7])
+def test_lattice_modes_over_thousands_of_folds(elements):
+    # 20000 modes fold about 10000 times when L = 2: the twiddle's turns
+    # q c must be reduced mod 1 exactly (rounded, they cost about 3e-10 here)
+    x = _solver_grids(elements)[0]
+    grid = problems._find_grid([], x)
+    weights = np.vstack([np.ones(20000), np.random.default_rng(4).standard_normal(20000)])
+    weights[:, :problems._ROW_CAP] = 0.0
+    want = lattice_sum_oracle(problems._lattice(x), x, weights, np.arange(x.size))
+    np.testing.assert_allclose(problems._mode_sum(grid, weights), want, rtol=1e-12, atol=1e-12)
 
 
 def _series(name):
@@ -449,9 +534,16 @@ def test_truncation_error_raised(monkeypatch):
         prob.exact(np.array([0.5]), 1e-6)
 
 
+def test_tiny_time_raises_truncation_error():
+    # t**(-alpha (J+1)) overflows here; the choice must still end in a
+    # TruncationError, not a bare OverflowError
+    with pytest.raises(TruncationError, match="modes"):
+        example1(0.9).exact(np.array([0.5]), 1e-60)
+
+
 def test_validation():
     with pytest.raises(ValueError):
-        example1(1.0)
+        example1(1.01)
     with pytest.raises(ValueError):
         example2(0.0)
     prob = example1(0.5)
