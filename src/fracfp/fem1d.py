@@ -23,7 +23,9 @@ __all__ = [
     "uniform_mesh",
     "assemble_mass",
     "assemble_G",
+    "drift_band",
     "gauss_points",
+    "gauss2_points",
     "l2_norm",
     "load_from_values",
     "load_vector",
@@ -135,46 +137,47 @@ def _eval_on(fun, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+def gauss2_points(mesh: SpatialMesh) -> np.ndarray:
+    """The 2-point Gauss nodes on which assemble_G samples kappa and the
+    drift, flat: every element's left node, then every element's right node."""
+    xm = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+    return np.concatenate([xm - 0.5 * mesh.h * _G2, xm + 0.5 * mesh.h * _G2])
+
+
+def drift_band(mesh: SpatialMesh, bc: BcMode, values) -> TriDiagMatrix:
+    """Matrix of -<F phi_q, phi_p'>, 2-point Gauss per element (exact for
+    affine F); values holds F on gauss2_points(mesh), or one number."""
+    d = np.asarray(values, dtype=float)
+    if d.shape != (2 * mesh.M_x,):
+        d = np.broadcast_to(d, (2 * mesh.M_x,))
+    d1, d2 = d.reshape(2, -1)
+    # -<F phi_L, phi_L'> = +(1/h) int F phi_L with phi_L = (1 +- _G2)/2 at
+    # the two Gauss points, and phi_R' flips the sign
+    d_ll = 0.25 * (d1 * (1.0 + _G2) + d2 * (1.0 - _G2))
+    d_lr = 0.25 * (d1 * (1.0 - _G2) + d2 * (1.0 + _G2))
+    diag = np.zeros(mesh.M_x + 1)
+    diag[:-1] += d_ll
+    diag[1:] -= d_lr
+    return _restrict(TriDiagMatrix(-d_ll, diag, d_lr), bc)
+
+
 def assemble_G(mesh: SpatialMesh, bc: BcMode, kappa, drift_avg=None) -> TriDiagMatrix:
     """Matrix of <kappa phi_q', phi_p'> - <drift_avg phi_q, phi_p'>.
 
     2-point Gauss per element, exact for constant kappa and affine drift.
-    ``drift_avg`` is the caller's time-averaged drift (or None for none).
-    Raises if kappa is nonpositive at any quadrature node.
+    ``drift_avg`` is the caller's time-averaged drift (or None for none),
+    added as drift_band.  Raises if kappa is nonpositive at a quadrature node.
     """
-    h = mesh.h
-    xm = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-    xg1 = xm - 0.5 * h * _G2
-    xg2 = xm + 0.5 * h * _G2
-    k1 = _eval_on(kappa, xg1)
-    k2 = _eval_on(kappa, xg2)
-    if np.any(k1 <= 0.0) or np.any(k2 <= 0.0):
+    x = gauss2_points(mesh)
+    kv = _eval_on(kappa, x)
+    if np.any(kv <= 0.0):
         raise ValueError("kappa must be positive at every quadrature node")
-    k_el = (k1 + k2) / (2.0 * h)
-
-    if drift_avg is None:
-        e_ll = k_el
-        e_lr = -k_el
-        e_rl = -k_el
-        e_rr = k_el
-    else:
-        d1 = _eval_on(drift_avg, xg1)
-        d2 = _eval_on(drift_avg, xg2)
-        # hat function values at the two Gauss points
-        phi_hi = 0.5 * (1.0 + _G2)
-        phi_lo = 0.5 * (1.0 - _G2)
-        # -<F phi_L, phi_L'> = +(1/h) int F phi_L, and phi_R' flips the sign
-        d_ll = 0.5 * (d1 * phi_hi + d2 * phi_lo)
-        d_lr = 0.5 * (d1 * phi_lo + d2 * phi_hi)
-        e_ll = k_el + d_ll
-        e_lr = -k_el + d_lr
-        e_rl = -k_el - d_ll
-        e_rr = k_el - d_lr
-
+    k_el = (kv[: mesh.M_x] + kv[mesh.M_x :]) / (2.0 * mesh.h)
     diag = np.zeros(mesh.M_x + 1)
-    diag[:-1] += e_ll
-    diag[1:] += e_rr
-    return _restrict(TriDiagMatrix(np.asarray(e_rl, float), diag, np.asarray(e_lr, float)), bc)
+    diag[:-1] += k_el
+    diag[1:] += k_el
+    K = _restrict(TriDiagMatrix(-k_el, diag, -k_el), bc)
+    return K if drift_avg is None else K.plus_scaled(drift_band(mesh, bc, drift_avg(x)), 1.0)
 
 
 def l2_norm(values: np.ndarray, mesh: SpatialMesh) -> float:

@@ -1,7 +1,8 @@
 """L1 time stepping on a graded mesh for the fractional Fokker-Planck system.
 
-Per step: assemble the advection-diffusion matrix at the midpoint-averaged
-drift, form S^n = M + (tau_n^alpha/Gamma(alpha+2)) G^n, accumulate the
+init_state builds what every step reads once per solve (_Plan).  Per step:
+add the drift band of the midpoint-averaged drift to the kappa stiffness,
+form S^n = M + (tau_n^alpha/Gamma(alpha+2)) G^n, accumulate the
 convolution history of increments, solve the tridiagonal system, advance.
 
 The history sum is exact and runs in blocks of _BLOCK steps (see step), so
@@ -22,6 +23,8 @@ from .fem1d import (
     TriDiagMatrix,
     assemble_G,
     assemble_mass,
+    drift_band,
+    gauss2_points,
     gauss_points,
     load_from_values,
     project_initial,
@@ -83,28 +86,39 @@ class Trajectory:
             raise ValueError("nodal vectors do not match the spatial mesh")
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What every step of one solve reads: the mass matrix, the kappa
+    stiffness K, the 2 M_x points the drift is sampled on, and the weights."""
+
+    mass: TriDiagMatrix
+    K: TriDiagMatrix
+    drift_x: np.ndarray
+    cw: ConvolutionWeights
+
+
 @dataclass
 class SolverState:
     """Mutable per-solve state: completed step count, increments, current
-    solution at the unknowns, the matrices/weights shared by every step (the
-    source load is assembled afresh per step by assemble_source), and the
-    open history block.  The boundary condition is read from the problem.
+    solution at the unknowns, the per-solve plan, the drift at t_n on the
+    plan's points (None without drift), and the open history block.  The
+    boundary condition is read from the problem.
 
     W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
     nodal U^0 and row n the increment W^n = U^n - U^(n-1) at the unknowns
     (Dirichlet boundary columns stay zero).  solve sums it in place into the
     trajectory U^0..U^N.  For the steps s..s+_BLOCK-1 of the open block,
-    hist_old[n-s] is sum_{j<s} (w_{n,j}/tau_j) W^j and hist_tail[n-s, :n-s]
+    _hist_old[n-s] is sum_{j<s} (w_{n,j}/tau_j) W^j and _hist_tail[n-s, :n-s]
     are the weights w_{n,j}/tau_j for j = s..n-1.
     """
 
     n: int
     U_dof: np.ndarray
     W: np.ndarray
-    mass: TriDiagMatrix
-    cw: ConvolutionWeights
-    hist_old: np.ndarray
-    hist_tail: np.ndarray
+    _plan: _Plan
+    _drift: object
+    _hist_old: np.ndarray
+    _hist_tail: np.ndarray
 
 
 def _dofs(bc: BcMode) -> slice:
@@ -162,7 +176,8 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
 
 
 def init_state(problem, config: SolverConfig) -> SolverState:
-    """Project the initial datum and allocate the solve state.
+    """Project the initial datum, build the per-solve plan (kappa is
+    sampled here only, and must be positive) and evaluate the drift at t_0.
 
     Raises ValueError when config.alpha and problem.alpha differ (the scheme
     and the problem's source and exact solution must share one order), or
@@ -183,14 +198,16 @@ def init_state(problem, config: SolverConfig) -> SolverState:
     W = np.zeros((config.mesh.N + 1, space.M_x + 1))
     W[0] = U0_full
     U_dof = to_dof(U0_full, bc)
+    plan = _Plan(mass=assemble_mass(space, bc), K=assemble_G(space, bc, problem.kappa, None),
+                 drift_x=gauss2_points(space), cw=ConvolutionWeights(config.mesh, config.alpha))
     return SolverState(
         n=0,
         U_dof=U_dof,
         W=W,
-        mass=assemble_mass(space, bc),
-        cw=ConvolutionWeights(config.mesh, config.alpha),
-        hist_old=np.empty((0, U_dof.size)),
-        hist_tail=np.empty((0, 0)),
+        _plan=plan,
+        _drift=None if problem.drift is None else problem.drift(plan.drift_x, config.mesh.nodes[0]),
+        _hist_old=np.empty((0, U_dof.size)),
+        _hist_tail=np.empty((0, 0)),
     )
 
 
@@ -201,15 +218,18 @@ def _open_block(state: SolverState, tmesh: GradedMesh, W: np.ndarray, s: int) ->
     ms = range(s, min(s + _BLOCK, tmesh.N + 1))
     coeff = np.zeros((len(ms), s - 1 + len(ms)))
     for i, m in enumerate(ms):
-        coeff[i, : m - 1] = state.cw.row(m) / tmesh.steps[: m - 1]
-    state.hist_old = coeff[:, : s - 1] @ W[1:s]
-    state.hist_tail = coeff[:, s - 1 :]
+        coeff[i, : m - 1] = state._plan.cw.row(m) / tmesh.steps[: m - 1]
+    state._hist_old = coeff[:, : s - 1] @ W[1:s]
+    state._hist_tail = coeff[:, s - 1 :]
 
 
 def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     """Advance one time level: solve S^n W^n = f^n - w0(n) G^n U^0 - G^n H^n
     with the history vector H^n = sum_{j<n} (w_{n,j}/tau_j) W^j, and store
     W^n in row n of state.W.
+
+    G^n is K plus the drift band of 0.5 (F(t_{n-1}) + F(t_n)); F(t_n) is
+    kept for the next step, so a solve evaluates the drift N + 1 times.
 
     H^n is exact.  The first step of each block of _BLOCK steps takes the
     weight rows of all the block's steps and sums their history over the
@@ -226,10 +246,12 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     t0, t1 = tmesh.nodes[n - 1], tmesh.nodes[n]
 
     bc = problem.bc
-    F = problem.drift
-    davg = None if F is None else (lambda x: 0.5 * (F(x, t0) + F(x, t1)))
-    G = assemble_G(config.spatial, bc, problem.kappa, davg)
-    S = state.mass.plus_scaled(G, state.cw.d(n))
+    plan = state._plan
+    G, F, drift = plan.K, problem.drift, None
+    if F is not None:
+        drift = F(plan.drift_x, t1)
+        G = G.plus_scaled(drift_band(config.spatial, bc, 0.5 * (state._drift + drift)), 1.0)
+    S = plan.mass.plus_scaled(G, plan.cw.d(n))
 
     fvec = to_dof(assemble_source(problem, config.spatial, (t0, t1)), bc)
 
@@ -238,14 +260,15 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     if s == n:
         _open_block(state, tmesh, W, s)
     i = n - s
-    hist = state.cw.w0(n) * W[0] + (
-        state.hist_old[i] + state.hist_tail[i, :i] @ W[s:n])
+    hist = plan.cw.w0(n) * W[0] + (
+        state._hist_old[i] + state._hist_tail[i, :i] @ W[s:n])
 
     Wn = thomas_solve(S, fvec - G.matvec(hist))
     if not np.isfinite(Wn).all():
         raise FloatingPointError(f"non-finite solution at step n = {n}, t_n = {t1:.6g}")
     W[n] = Wn
     state.U_dof = state.U_dof + Wn
+    state._drift = drift
     state.n = n
     return state
 

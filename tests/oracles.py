@@ -161,6 +161,20 @@ def structured_eval_per_term(series, kind: str, grid, t, alpha: float) -> np.nda
     return head
 
 
+def l1_weight_oracle(nodes: np.ndarray, alpha: float, n: int, j: int, dps: int = 60) -> float:
+    """w_{n,j} = int_{I_j} int_{I_n} omega_alpha(sig - s) dsig ds at dps digits.
+
+    The float64 nodes are taken exactly; the four increments of
+    omega_{alpha+2} cancel in mpmath arithmetic, whose working precision
+    covers the digits the cancellation takes on the meshes of the tests.
+    """
+    with mp.workdps(dps):
+        tn, tnm1, tj, tjm1 = (mp.mpf(float(nodes[i])) for i in (n, n - 1, j, j - 1))
+        e = mp.mpf(alpha) + 1
+        f = lambda x: x ** e
+        return float((f(tn - tjm1) - f(tnm1 - tjm1) - f(tn - tj) + f(tnm1 - tj)) / mp.gamma(e + 1))
+
+
 def tridiag_dense(A) -> np.ndarray:
     """Dense copy of a TriDiagMatrix."""
     return np.diag(A.diag) + np.diag(A.sub, -1) + np.diag(A.sup, 1)

@@ -177,6 +177,22 @@ def test_alpha_robust_up_to_one():
           + ", ".join(f"{uniform.find(a, 1.0, 64).eps_rate:.3f}" for a in alphas))
 
 
+def test_second_order_for_small_alpha():
+    # the paper observes second order for alpha <= 1/2 too, outside its
+    # theory, once gamma reaches the law's 2/(1.25 alpha) (5.33 at 0.3)
+    report = run_study("ex1", [0.3], [5.4, 2.0], [64, 128, 256], elements=2000)
+    assert report.ok
+    graded = [report.find(0.3, 5.4, n) for n in (64, 128)]
+    mild = [report.find(0.3, 2.0, n) for n in (64, 128)]
+    for r in graded:
+        assert r.eps_rate >= 1.85 and r.weps_rate >= 1.85, (r.N, r.eps_rate, r.weps_rate)
+    for r in mild:
+        assert r.eps_rate < 1.0 and r.weps_rate < 1.0, (r.N, r.eps_rate, r.weps_rate)
+    print("PASS alpha = 0.3: gamma=5.4 eps/weps rates "
+          + ", ".join(f"{r.eps_rate:.3f}/{r.weps_rate:.3f}" for r in graded)
+          + "; gamma=2 rates " + ", ".join(f"{r.eps_rate:.3f}/{r.weps_rate:.3f}" for r in mild))
+
+
 def test_criterion_04_grading_monotonicity_and_error_profile():
     gammas = [1.0, 2.0, 3.0, 4.0]
     report = run_study("ex1", [0.6], gammas, [128], keep_traces=True)

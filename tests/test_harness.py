@@ -221,9 +221,6 @@ def test_csv_error_row_shape():
 # same tree whatever its working directory is (a relative PYTHONPATH does not
 # survive cwd=tmp_path).
 _SRC = str(Path(fracfp.__file__).resolve().parents[1])
-# What the `fracfp` console script runs; `-m fracfp.harness` would execute
-# the module a second time as __main__, since fracfp/__init__ imports it.
-_ENTRY = "import sys; from fracfp.harness import main; sys.exit(main())"
 
 
 def _python(args, cwd):
@@ -235,7 +232,16 @@ def _python(args, cwd):
 
 
 def _cli(args, cwd):
-    return _python(["-c", _ENTRY] + args, cwd)
+    return _python(["-m", "fracfp"] + args, cwd)
+
+
+def test_python_m_fracfp_runs_without_runpy_warning(tmp_path):
+    # `-m fracfp.harness` warns that fracfp/__init__ imported the module
+    # before runpy ran it as __main__; `-m fracfp` runs fracfp/__main__.py
+    res = _cli(["--help"], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: fracfp")
+    assert "RuntimeWarning" not in res.stderr
 
 
 # mpmath is a test dependency only: the child blocks its import

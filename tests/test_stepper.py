@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fracfp import (
     BcMode,
+    ConvolutionWeights,
     ProblemSpec,
     SolverConfig,
     Trajectory,
@@ -25,6 +27,7 @@ from fracfp import (
     uniform_mesh,
 )
 
+from fracfp import stepper
 from fracfp.stepper import _BLOCK
 from oracles import cn_reference, direct_l1_solve, source_integral_oracle, source_integral_singular
 
@@ -248,6 +251,34 @@ def test_blocked_history_matches_direct_sum(bc, N):
     got = solve(prob, config).values
     want = direct_l1_solve(prob, config)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_one_solve_work_counts(monkeypatch):
+    # the plan is built once: K (the only kappa sampling) and the weights in
+    # init_state; each step evaluates the drift once and takes one weight row
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stepper, "assemble_G", counted("assemble_G", stepper.assemble_G))
+    monkeypatch.setattr(ConvolutionWeights, "row", counted("row", ConvolutionWeights.row))
+    prob = make_problem(bc=BcMode.ZERO_FLUX, u0=lambda x: x * (1.0 - x),
+                        kappa=counted("kappa", lambda x: 1.0 + x),
+                        drift=counted("drift", lambda x, t: np.sin(t) - x))
+    N = 2 * _BLOCK + 5
+    config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, N, 2.0),
+                          spatial=uniform_mesh(0.0, 1.0, 20))
+    state = init_state(prob, config)
+    at_init = dict(calls)
+    for _ in range(N):
+        state = step(state, config, prob)
+    assert at_init == {"assemble_G": 1, "kappa": 1, "drift": 1}
+    assert calls == {"assemble_G": 1, "kappa": 1, "drift": N + 1, "row": N}
+    assert state.n == N
 
 
 def test_dirichlet_trajectory_keeps_projected_start():
