@@ -138,8 +138,9 @@ def _eval_on(fun, x: np.ndarray) -> np.ndarray:
 
 
 def gauss2_points(mesh: SpatialMesh) -> np.ndarray:
-    """The 2-point Gauss nodes on which assemble_G samples kappa and the
-    drift, flat: every element's left node, then every element's right node."""
+    """The 2-point Gauss nodes on which assemble_G samples kappa and
+    drift_band takes the drift, flat: every element's left node, then every
+    element's right node."""
     xm = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     return np.concatenate([xm - 0.5 * mesh.h * _G2, xm + 0.5 * mesh.h * _G2])
 
@@ -161,12 +162,10 @@ def drift_band(mesh: SpatialMesh, bc: BcMode, values) -> TriDiagMatrix:
     return _restrict(TriDiagMatrix(-d_ll, diag, d_lr), bc)
 
 
-def assemble_G(mesh: SpatialMesh, bc: BcMode, kappa, drift_avg=None) -> TriDiagMatrix:
-    """Matrix of <kappa phi_q', phi_p'> - <drift_avg phi_q, phi_p'>.
-
-    2-point Gauss per element, exact for constant kappa and affine drift.
-    ``drift_avg`` is the caller's time-averaged drift (or None for none),
-    added as drift_band.  Raises if kappa is nonpositive at a quadrature node.
+def assemble_G(mesh: SpatialMesh, bc: BcMode, kappa) -> TriDiagMatrix:
+    """Stiffness matrix <kappa phi_q', phi_p'>, 2-point Gauss per element
+    (exact for constant kappa); the drift part is added as drift_band.
+    Raises if kappa is nonpositive at a quadrature node.
     """
     x = gauss2_points(mesh)
     kv = _eval_on(kappa, x)
@@ -176,8 +175,7 @@ def assemble_G(mesh: SpatialMesh, bc: BcMode, kappa, drift_avg=None) -> TriDiagM
     diag = np.zeros(mesh.M_x + 1)
     diag[:-1] += k_el
     diag[1:] += k_el
-    K = _restrict(TriDiagMatrix(-k_el, diag, -k_el), bc)
-    return K if drift_avg is None else K.plus_scaled(drift_band(mesh, bc, drift_avg(x)), 1.0)
+    return _restrict(TriDiagMatrix(-k_el, diag, -k_el), bc)
 
 
 def l2_norm(values: np.ndarray, mesh: SpatialMesh) -> float:
@@ -256,7 +254,7 @@ def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
         xg = gauss_points(mesh)
         # <kappa u0', phi_p'> is the load of -(kappa u0')' in flux form
         rhs = load_from_values(mesh, flux=-_eval_on(kappa, xg) * _eval_on(u0_prime, xg))
-        stiff = assemble_G(mesh, bc, kappa, None)
+        stiff = assemble_G(mesh, bc, kappa)
         return to_full(thomas_solve(stiff, to_dof(rhs, bc)), bc)
 
     raise ValueError(f"unknown projection mode {mode!r}")

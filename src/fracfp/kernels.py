@@ -3,7 +3,7 @@
 Everything here lives on the negative real axis (Mittag-Leffler part) or on a
 graded mesh (quadrature weights), which is all the solver needs.  The hot
 paths are vectorized numpy.  mittag_leffler has three routes: exp for
-mu = beta = 1; otherwise a Taylor sum near the origin and, above it, one
+mu = beta = 1; otherwise a Taylor sum for 0 < -x <= 1 and, above it, one
 fixed double-exponential quadrature of the Hankel integral for every
 0 < mu <= 1 and beta > 0.  It is good to about 1e-14 relative for
 mu <= 0.99; nearer mu = 1 the relative error grows like 1e-16/(1 - mu),
@@ -180,10 +180,9 @@ class ConvolutionWeights:
 # Mittag-Leffler on the negative real axis
 # ---------------------------------------------------------------------------
 
-# The Taylor sum is used while its largest term stays below this; its
-# rounding then stays near 1e-13, and the quadrature is good to ~1e-14 from
-# z ~ 1 up.
-_PEAK_LIMIT = 3.0
+# The Taylor sum serves z <= 1, where every term is at most about
+# 1/min Gamma = 1.13, so it needs no cutoff search; the quadrature is good to
+# ~1e-14 from z = 1 up.
 _TAYLOR_PMAX = 4096
 # Double-exponential nodes rho = exp(t - e^-t) for the Hankel integral
 # (_ml_hankel): 136 nodes, t = -7.5..6 in steps of 0.1.  The first node sits
@@ -195,42 +194,11 @@ _DE_P1 = 0.05
 # largest (points x nodes) complex buffer _ml_hankel fills at once, in entries
 _HANKEL_BUF = 1 << 21
 
-_cutoff_cache: dict = {}
 _de_cache: dict = {}
 
 
-def _taylor_cutoff(mu: float, beta: float) -> float:
-    """Largest z such that the Taylor peak term stays below _PEAK_LIMIT."""
-    key = (mu, beta)
-    cut = _cutoff_cache.get(key)
-    if cut is not None:
-        return cut
-    target = math.log(_PEAK_LIMIT)
-
-    def logpeak(z: float) -> float:
-        p = max(z ** (1.0 / mu) / mu, 1.0)
-        return p * math.log(z) - gammaln(mu * p + beta)
-
-    lo, hi = 1.0, 2.0
-    while logpeak(hi) < target and hi < 1.0e4:
-        lo = hi
-        hi *= 2.0
-    if logpeak(hi) < target:
-        cut = hi
-    else:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if logpeak(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        cut = lo
-    _cutoff_cache[key] = cut
-    return cut
-
-
 def _ml_taylor(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Plain Taylor sum of E_{mu,beta}(-z); caller keeps z below the cutoff."""
+    """Plain Taylor sum of E_{mu,beta}(-z) for 0 < z <= 1."""
     lnz = np.log(z)
     total = np.full(z.shape, rgamma(beta))
     p0 = 1
@@ -244,7 +212,7 @@ def _ml_taylor(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
         if terms.max() < 1.0e-22:
             return total
         p0 += block
-    raise RuntimeError("Taylor sum failed to terminate; cutoff logic is broken")
+    raise RuntimeError(f"Taylor sum failed to terminate at mu = {mu}")
 
 
 def _de_rule(mu: float, beta: float):
@@ -311,12 +279,11 @@ def mittag_leffler(mu: float, beta: float, x):
 
     Supported domain: 0 < mu <= 1, beta > 0, x <= 0.  Each point takes one
     of three routes: exp(-z) when mu = beta = 1; otherwise a Taylor sum for
-    z = -x up to the cutoff where its largest term reaches _PEAK_LIMIT, and
-    the Hankel-integral quadrature (_ml_hankel) above it.  Against an
-    extended-precision oracle the result is good to about 1e-14 relative
-    for mu <= 0.99.  Nearer mu = 1 with beta in {1, mu} the value is about
-    (1 - mu)/z, so the relative error grows like 1e-16/(1 - mu) while the
-    absolute error stays near 1e-16.
+    z = -x <= 1 and the Hankel-integral quadrature (_ml_hankel) above it.
+    Against an extended-precision oracle the result is good to about 1e-14
+    relative for mu <= 0.99.  Nearer mu = 1 with beta in {1, mu} the value
+    is about (1 - mu)/z, so the relative error grows like 1e-16/(1 - mu)
+    while the absolute error stays near 1e-16.
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mittag_leffler requires 0 < mu <= 1, got mu = {mu}")
@@ -333,7 +300,7 @@ def mittag_leffler(mu: float, beta: float, x):
     else:
         zero = z == 0.0
         out[zero] = rgamma(beta)
-        small = ~zero & (z <= _taylor_cutoff(mu, beta))
+        small = ~zero & (z <= 1.0)
         if small.any():
             out[small] = _ml_taylor(mu, beta, z[small])
         big = ~zero & ~small

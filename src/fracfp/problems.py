@@ -19,22 +19,23 @@ then does one Mittag-Leffler call and one mode sum, whose weight rows are the
 time levels followed by the correction terms; the corrections are the gaps
 between the closed forms P_k of the damped sums (SineSeries.eval_P) and
 their partial sums, added to the time rows as one (times x terms) product.
-Modes past the cached rows go by FFT on lattice grids, such as every grid the
-solver builds (see _mode_sum).  alpha = 1 makes both series exponentials.
+Modes past a grid's sine rows go by FFT on lattice grids, such as every grid
+the solver builds (see _mode_sum).  alpha = 1 makes both series exponentials.
 
 Both are homogeneous Dirichlet problems: exact solves that problem only, so
 a copy with another bc has no exact solution to compare against.
 
-Each problem owns its evaluation caches, shared by its exact and
-flux_regular: per spatial grid, the sin(lam_m x) rows, its lattice (found
-the first time a mode sum needs it), the closed forms P_k on its points (at
-most _ORDER + 1 rows, each filled the first time its k is used) and the
-exact values already computed, by time; on its series, the
-t-independent constants of _choose_mk, by (beta, alpha).  A grid is found by
-value (shape and contents, against a private copy of its points), not by
-array identity, so editing an array in place never returns stale values;
-exact values come back read-only.  A problem keeps at most 8 grids and 4096
-exact values per grid.
+Each problem owns its series, built for the problem's alpha, and at most
+_GRID_CAP grids, shared by its exact and flux_regular.  The series holds the
+primitives P_0.._ORDER and, for beta in {1, alpha}, the t-independent
+constants of _choose_mk.  A grid is built whole for the series the first
+time its points are seen: the first _ROW_CAP sin(lam_m x) rows, its lattice
+and the P_k on its points.  Nothing in either grows after that; the only
+caches are the grids themselves (the oldest dropped first) and, per grid,
+the exact values already computed, by time (at most _MEMO_CAP, then it
+starts over).  A grid is found by value (shape and contents, against a
+private copy of its points), not by array identity, so editing an array in
+place never returns stale values; exact values come back read-only.
 """
 
 from __future__ import annotations
@@ -72,46 +73,33 @@ _ORDER = 6
 
 
 # ---------------------------------------------------------------------------
-# sine mode sums on cached grids
+# sine mode sums on a problem's grids
 # ---------------------------------------------------------------------------
 
-_ROW_CAP = 256
+_ROW_CAP = 32  # sine rows a grid keeps; almost every mode sum needs no more
 _MODE_BUF = 1 << 21  # entries of the block streamed modes are built in (16 MB)
 _GRID_CAP = 8  # grids one problem keeps, oldest dropped first
 _MEMO_CAP = 4096  # exact values one grid keeps before it starts over
 _HALF = np.linspace(0.0, 0.5, 129)  # where the primitives' maxima are sampled
-_UNSEEN = object()  # a grid's lattice before a mode sum first needs it
 
 
 class _Grid:
-    """One spatial grid of a series problem: a private copy of its points,
-    their sin(lam_m x) rows (the lam grid is universal), its lattice (see
-    _lattice), the closed forms P_k of the problem's series on them, by k,
-    and the exact values already computed on it, by time."""
+    """One spatial grid of a series problem, built whole for its series: a
+    private copy of its points, their first _ROW_CAP sin(lam_m x) rows (the
+    lam grid is universal), its lattice (see _lattice; None off a lattice),
+    the closed forms P_0.._ORDER of the series on them as one array, and the
+    exact values already computed on it, by time."""
 
     __slots__ = ("x", "flat", "sin", "lattice", "P", "exact")
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: np.ndarray, series: "SineSeries"):
         self.x = x
         self.flat = x.ravel()
-        self.sin = np.empty((0, self.flat.size))
-        self.lattice = _UNSEEN
-        self.P: dict = {}
+        lam = (2.0 * np.arange(_ROW_CAP) + 1.0) * math.pi
+        self.sin = np.sin(np.outer(lam, self.flat))
+        self.lattice = _lattice(self.flat)
+        self.P = np.array([series.eval_P(k, self.flat) for k in range(len(series.prims))])
         self.exact: dict = {}
-
-    def closed_form(self, series: "SineSeries", k: int) -> np.ndarray:
-        """P_k on the points; a grid belongs to one problem, so one series."""
-        row = self.P.get(k)
-        if row is None:
-            row = self.P[k] = series.eval_P(k, self.flat)
-        return row
-
-    def rows(self, count: int) -> np.ndarray:
-        if self.sin.shape[0] < count:
-            grow = min(max(count, 2 * self.sin.shape[0], 32), _ROW_CAP)
-            lam = (2.0 * np.arange(self.sin.shape[0], grow) + 1.0) * math.pi
-            self.sin = np.vstack([self.sin, np.sin(np.outer(lam, self.flat))])
-        return self.sin[:count]
 
 
 def _lattice(x: np.ndarray):
@@ -149,8 +137,9 @@ def _lattice(x: np.ndarray):
     return None
 
 
-def _find_grid(grids: list, x) -> _Grid:
-    """The entry of grids whose points equal x in shape and contents.
+def _find_grid(grids: list, x, series: "SineSeries") -> _Grid:
+    """The entry of grids whose points equal x in shape and contents, or a
+    new grid for series in place of the oldest once there are _GRID_CAP.
 
     Matching by value, against a copy taken on first sight, means editing
     the caller's array in place can never leave a stale entry behind.
@@ -161,14 +150,14 @@ def _find_grid(grids: list, x) -> _Grid:
             return grid
     if len(grids) >= _GRID_CAP:
         grids.pop(0)
-    grids.append(_Grid(arr.copy()))
+    grids.append(_Grid(arr.copy(), series))
     return grids[-1]
 
 
 def _mode_sum(grid: _Grid, weights: np.ndarray) -> np.ndarray:
     """weights @ sin(lam_m x) over the grid; weights is (rows, modes).
 
-    The first _ROW_CAP modes come from the grid's cached rows.  On a lattice
+    The first _ROW_CAP modes come from the grid's rows.  On a lattice
     grid, x = (j + c)/L, the rest go by FFT: sum_m b_m sin(lam_m x) =
     Im[e^{i pi x} sum_m (b_m e^{2 pi i m c/L}) e^{2 pi i m j/L}], so per
     offset class the twiddled weights fold mod L into one length-L inverse
@@ -179,9 +168,7 @@ def _mode_sum(grid: _Grid, weights: np.ndarray) -> np.ndarray:
     """
     count = weights.shape[-1]
     head = min(count, _ROW_CAP)
-    out = weights[..., :head] @ grid.rows(head)
-    if count > head and grid.lattice is _UNSEEN:
-        grid.lattice = _lattice(grid.flat)  # most grids never get here
+    out = weights[..., :head] @ grid.sin[:head]
     if count > head and grid.lattice is not None:
         L, c, cls, jmod, phase = grid.lattice
         tail = np.zeros(weights.shape[:-1] + (-(-count // L), L))  # (rows, folds, L)
@@ -211,7 +198,7 @@ def _mode_sum(grid: _Grid, weights: np.ndarray) -> np.ndarray:
 
 
 class SineSeries:
-    """Odd-harmonic sine series with power-law coefficients.
+    """Odd-harmonic sine series with power-law coefficients, for one alpha.
 
     Coefficients c_m = amplitude * (-1)^m? * lam_m**(-power) against
     sin(lam_m x), lam_m = (2m+1) pi.  The closed form of the full sum at
@@ -219,41 +206,32 @@ class SineSeries:
     series is symmetric about x = 1/2, so values on (1/2, 1] mirror.
     Iterated primitives P_k (with -P_k'' = P_{k-1}, P_k(0) = 0,
     P_k'(1/2) = 0) carry the closed forms of the lam**(-2k)-damped sums used
-    by the tail acceleration.
+    by the tail acceleration.  P_0.._ORDER and, for beta in {1, alpha},
+    _choose_mk's t-free constants are computed when the series is built.
     """
 
-    def __init__(self, amplitude: float, power: int, alternating: bool, half_poly: Polynomial):
+    def __init__(self, amplitude: float, power: int, alternating: bool,
+                 half_poly: Polynomial, alpha: float):
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"the manufactured problems require 0 < alpha <= 1, got {alpha}")
         self.amplitude = float(amplitude)
         self.power = int(power)
         self.alternating = bool(alternating)
-        self._prims: list = []  # (power-basis coefficients of P_k, max |P_k|)
-        self._consts: dict = {}  # (beta, alpha) -> _choose_mk's t-free constants
-        self._add_primitive(np.asarray(half_poly.convert().coef, dtype=float))
-
-    def _add_primitive(self, coef: np.ndarray) -> None:
-        self._prims.append((coef, float(np.max(np.abs(P.polyval(_HALF, coef))))))
-
-    def _primitive(self, k: int):
-        """(coefficients of P_k, max |P_k| sampled on [0, 1/2])."""
-        while len(self._prims) <= k:
-            prev = self._prims[-1][0]
+        self.alpha = alpha
+        # power-basis coefficients of P_0.._ORDER
+        self.prims = [np.asarray(half_poly.convert().coef, dtype=float)]
+        for _ in range(_ORDER):
+            prev = self.prims[-1]
             coef = -P.polyint(prev, 2)
             coef[1] += P.polyval(0.5, P.polyint(prev))
-            self._add_primitive(coef)
-        return self._prims[k]
-
-    def _constants(self, beta: float, alpha: float, order: int):
-        """Lists over j = 0..order of 3 Gamma(1 + alpha(j+1) - beta)/pi,
-        rgamma(beta - alpha j) and max |P_j|, kept by (beta, alpha)."""
-        got = self._consts.get((beta, alpha))
-        if got is None or len(got[0]) <= order:
-            js = range(order + 1)
-            got = self._consts[(beta, alpha)] = (
-                [3.0 * math.gamma(1.0 + alpha * (j + 1) - beta) / math.pi for j in js],
-                rgamma(beta - alpha * np.arange(order + 1)).tolist(),
-                [self._primitive(j)[1] for j in js],
-            )
-        return got
+            self.prims.append(coef)
+        pmax = [float(np.max(np.abs(P.polyval(_HALF, coef)))) for coef in self.prims]
+        # beta -> lists over j = 0.._ORDER of 3 Gamma(1 + alpha(j+1) - beta)/pi,
+        # rgamma(beta - alpha j) and max |P_j| sampled on [0, 1/2]
+        j = np.arange(_ORDER + 1)
+        self.consts = {beta: ([3.0 * math.gamma(g) / math.pi for g in 1.0 + alpha * (j + 1) - beta],
+                              rgamma(beta - alpha * j).tolist(), pmax)
+                       for beta in (1.0, alpha)}
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         lam = (2.0 * m + 1.0) * math.pi
@@ -264,7 +242,7 @@ class SineSeries:
 
     def eval_P(self, k: int, x: np.ndarray) -> np.ndarray:
         """Closed form of sum_m c_m lam_m**(-2k) sin(lam_m x)."""
-        return P.polyval(np.minimum(x, 1.0 - x), self._primitive(k)[0])
+        return P.polyval(np.minimum(x, 1.0 - x), self.prims[k])
 
     def u0(self, x):
         arr = np.asarray(x, dtype=float)
@@ -275,7 +253,7 @@ class SineSeries:
         """x-derivative of u0 (one-sided at the symmetry point)."""
         arr = np.asarray(x, dtype=float)
         flat = arr.ravel() if arr.ndim else arr.reshape(1)
-        dq = P.polyder(self._primitive(0)[0])
+        dq = P.polyder(self.prims[0])
         vals = np.where(flat <= 0.5, P.polyval(np.minimum(flat, 0.5), dq),
                         -P.polyval(1.0 - np.maximum(flat, 0.5), dq))
         return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
@@ -290,7 +268,7 @@ def _modes_for(C: float, e: float) -> int:
     return int(math.ceil((rhs ** (1.0 / (e - 1.0)) - 1.0) / 2.0))
 
 
-def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float):
+def _choose_mk(series: SineSeries, beta: float, t: float):
     """Pick truncation M and the correction terms for one evaluation.
 
     Under acceleration order J the dropped remainder (modes m > M after
@@ -305,13 +283,15 @@ def _choose_mk(series: SineSeries, beta: float, t: float, alpha: float):
     quantities).  A term too noisy to compute can instead be suppressed by
     raising M until its whole size drops below tolerance.  Among orders J the
     cheapest admissible M wins; returns (M, terms) where terms lists the
-    correction orders actually worth computing.
+    correction orders actually worth computing.  alpha is the series'; beta
+    is 1 or alpha.
     """
+    alpha = series.alpha
     A = abs(series.amplitude)
     p = series.power
-    env, rgs, pmax = series._constants(beta, alpha, _ORDER)
+    env, rgs, pmax = series.consts[beta]
     best = None
-    for J in range(_ORDER + 1):
+    for J in range(len(env)):
         e_env = p + 2 * (J + 1)
         try:
             c_env = env[J] * t ** (-alpha * (J + 1)) * A / (0.5 * _TAIL_TOL)
@@ -361,7 +341,7 @@ def _shape(vals: np.ndarray, arr: np.ndarray):
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
-def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float):
+def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t):
     """Evaluate the u / V series of one SineSeries on a grid's points.
 
     kind "u" pairs sin modes with E_{alpha,1}; "v" uses E_{alpha,alpha}.
@@ -374,17 +354,18 @@ def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float
     if np.any(ts < 0.0):
         raise ValueError("series evaluation requires t >= 0")
 
+    alpha = series.alpha
     beta = 1.0 if kind == "u" else alpha
+    rgs = series.consts[beta][1]
 
     out = np.empty((ts.size, grid.flat.size))
     pos = ts > 0.0
     if not pos.all():
-        # E(0) = 1/Gamma(beta) mode-independently, so the closed form applies
-        scale = 1.0 if kind == "u" else float(rgamma(alpha))
-        out[~pos] = grid.closed_form(series, 0) * scale
+        # E(0) = 1/Gamma(beta) = rgs[0] mode-independently, so P_0 applies
+        out[~pos] = grid.P[0] * rgs[0]
     if pos.any():
         tp = ts[pos]
-        M, terms = _choose_mk(series, beta, float(tp.min()), alpha)
+        M, terms = _choose_mk(series, beta, float(tp.min()))
         m = np.arange(M + 1)
         lam = (2.0 * m + 1.0) * math.pi
         c = series.coeffs(m)
@@ -395,9 +376,8 @@ def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, alpha: float
         head = sums[: tp.size]
         if terms:
             # term k adds (-1)^(k+1) rgamma(beta - alpha k) t**(-alpha k) (P_k - partial)
-            rgs = series._constants(beta, alpha, _ORDER)[1]
             sign_rg = np.array([rgs[k] if k % 2 == 1 else -rgs[k] for k in terms])
-            gaps = np.array([grid.closed_form(series, k) for k in terms]) - sums[tp.size:]
+            gaps = grid.P[terms] - sums[tp.size:]
             head += (sign_rg * tp[:, None] ** (-alpha * np.array(terms))) @ gaps
         out[pos] = head
     if tarr.ndim == 0:
@@ -421,7 +401,8 @@ class ProblemSpec:
     differentiating g.
     exact, u0_prime, f, f_regular, flux_regular may be None, but f and
     f_regular not both.  Inconsistent inputs are rejected here: alpha outside
-    (0, 1], T <= 0, an empty domain, a bc that is not a BcMode, an unknown
+    (0, 1], a T that is not positive and finite, an empty domain or one
+    with a non-finite end, a bc that is not a BcMode, an unknown
     default_projection, and rho <= -1 (not integrable at t = 0) with any
     source given.
     """
@@ -445,11 +426,11 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         a, b = self.domain
-        if not b > a:
-            raise ValueError(f"domain needs b > a, got {self.domain}")
+        if not (math.isfinite(a) and math.isfinite(b) and b > a):
+            raise ValueError(f"domain needs finite ends a < b, got {self.domain}")
         if not isinstance(self.bc, BcMode):
             raise TypeError(f"bc must be a BcMode, got {self.bc!r}")
         if self.default_projection not in ("ritz", "l2", "nodal"):
@@ -461,20 +442,18 @@ class ProblemSpec:
             raise ValueError(f"temporal exponent rho = {self.rho} is not integrable")
 
 
-def _series_problem(name: str, alpha: float, series: SineSeries,
-                    default_projection: str) -> ProblemSpec:
-    """The problem whose exact solution is series' u for alpha in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"the manufactured problems require 0 < alpha <= 1, got {alpha}")
+def _series_problem(name: str, series: SineSeries, default_projection: str) -> ProblemSpec:
+    """The problem whose exact solution is series' u, at the series' alpha."""
+    alpha = series.alpha
     grids: list = []  # shared by exact and flux_regular
 
     def exact(x, t):
         # every run asks for the same nodal grid at each of its time levels
-        grid = _find_grid(grids, x)
+        grid = _find_grid(grids, x, series)
         key = float(t)
         val = grid.exact.get(key)
         if val is None:
-            val = _eval_structured(series, "u", grid, key, alpha)
+            val = _eval_structured(series, "u", grid, key)
             if isinstance(val, np.ndarray):
                 val.flags.writeable = False  # shared by every later call
             if len(grid.exact) >= _MEMO_CAP:
@@ -484,8 +463,8 @@ def _series_problem(name: str, alpha: float, series: SineSeries,
 
     def flux_regular(x, t):
         # f_regular = (sin t - x) V_x - V is the x-derivative of this flux
-        grid = _find_grid(grids, x)
-        v = _eval_structured(series, "v", grid, t, alpha)
+        grid = _find_grid(grids, x, series)
+        v = _eval_structured(series, "v", grid, t)
         tt = np.asarray(t, dtype=float)
         return (np.sin(tt).reshape(tt.shape + (1,) * grid.x.ndim) - grid.x) * v
 
@@ -510,8 +489,8 @@ def _series_problem(name: str, alpha: float, series: SineSeries,
 
 def example1(alpha: float) -> ProblemSpec:
     """Smooth initial data u0 = x(1-x): coefficients 8 lam_m**-3."""
-    series = SineSeries(8.0, 3, False, Polynomial([0.0, 1.0, -1.0]))
-    return _series_problem("ex1", alpha, series, "ritz")
+    series = SineSeries(8.0, 3, False, Polynomial([0.0, 1.0, -1.0]), alpha)
+    return _series_problem("ex1", series, "ritz")
 
 
 def example2(alpha: float) -> ProblemSpec:
@@ -520,5 +499,5 @@ def example2(alpha: float) -> ProblemSpec:
     Nodal projection is the default so the kink lands exactly on a mesh node
     value; the source flux is derived from the series exactly as in example1.
     """
-    series = SineSeries(4.0, 2, True, Polynomial([0.0, 1.0]))
-    return _series_problem("ex2", alpha, series, "nodal")
+    series = SineSeries(4.0, 2, True, Polynomial([0.0, 1.0]), alpha)
+    return _series_problem("ex2", series, "nodal")

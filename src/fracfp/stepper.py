@@ -198,7 +198,7 @@ def init_state(problem, config: SolverConfig) -> SolverState:
     W = np.zeros((config.mesh.N + 1, space.M_x + 1))
     W[0] = U0_full
     U_dof = to_dof(U0_full, bc)
-    plan = _Plan(mass=assemble_mass(space, bc), K=assemble_G(space, bc, problem.kappa, None),
+    plan = _Plan(mass=assemble_mass(space, bc), K=assemble_G(space, bc, problem.kappa),
                  drift_x=gauss2_points(space), cw=ConvolutionWeights(config.mesh, config.alpha))
     return SolverState(
         n=0,

@@ -131,7 +131,7 @@ def series_u_oracle(amplitude: float, power: int, alternating: bool,
     return total + comp
 
 
-def structured_eval_per_term(series, kind: str, grid, t, alpha: float) -> np.ndarray:
+def structured_eval_per_term(series, kind: str, grid, t) -> np.ndarray:
     """problems._eval_structured at positive times, corrections added one
     term at a time.
 
@@ -144,8 +144,9 @@ def structured_eval_per_term(series, kind: str, grid, t, alpha: float) -> np.nda
     from fracfp import mittag_leffler, problems
 
     tp = np.atleast_1d(np.asarray(t, dtype=float))
+    alpha = series.alpha
     beta = 1.0 if kind == "u" else alpha
-    M, terms = problems._choose_mk(series, beta, float(tp.min()), alpha)
+    M, terms = problems._choose_mk(series, beta, float(tp.min()))
     m = np.arange(M + 1)
     lam = (2.0 * m + 1.0) * math.pi
     c = series.coeffs(m)
@@ -264,6 +265,7 @@ def direct_l1_solve(problem, config) -> np.ndarray:
     """
     from fracfp import (ConvolutionWeights, assemble_G, assemble_mass, assemble_source,
                         project_initial, thomas_solve, to_dof, to_full)
+    from fracfp.fem1d import drift_band, gauss2_points
 
     bc = problem.bc
     space, tmesh = config.spatial, config.mesh
@@ -278,10 +280,12 @@ def direct_l1_solve(problem, config) -> np.ndarray:
     mass = assemble_mass(space, bc)
     cw = ConvolutionWeights(tmesh, config.alpha)
     F = problem.drift
+    K = assemble_G(space, bc, problem.kappa)
+    xg = gauss2_points(space)
     for n in range(1, N + 1):
         t0, t1 = tmesh.nodes[n - 1], tmesh.nodes[n]
-        davg = None if F is None else (lambda x, _a=t0, _b=t1: 0.5 * (F(x, _a) + F(x, _b)))
-        G = assemble_G(space, bc, problem.kappa, davg)
+        G = K if F is None else K.plus_scaled(
+            drift_band(space, bc, 0.5 * (F(xg, t0) + F(xg, t1))), 1.0)
         S = mass.plus_scaled(G, cw.d(n))
         fvec = to_dof(assemble_source(problem, space, (t0, t1)), bc)
         hist = cw.w0(n) * U0

@@ -18,7 +18,16 @@ from fracfp import (
     uniform_mesh,
 )
 
+from fracfp.fem1d import drift_band, gauss2_points
+
 from oracles import dense_load, dense_matrices, tridiag_dense
+
+
+def transport(mesh, bc, kappa, drift):
+    """The stepper's G: assemble_G plus the drift band of drift on the
+    2-point Gauss nodes."""
+    band = drift_band(mesh, bc, drift(gauss2_points(mesh)))
+    return assemble_G(mesh, bc, kappa).plus_scaled(band, 1.0)
 
 
 def test_mesh_basics():
@@ -55,7 +64,7 @@ def test_G_constant_drift_signs():
     # superdiagonal and -c/2 on the subdiagonal (interior rows)
     mesh = uniform_mesh(0.0, 1.0, 8)
     c = 0.7
-    G = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0, lambda x: c)
+    G = transport(mesh, BcMode.ZERO_FLUX, lambda x: 1.0, lambda x: c)
     h = mesh.h
     np.testing.assert_allclose(G.diag[1:-1], 2.0 / h, rtol=1e-13)
     np.testing.assert_allclose(G.sup[1:-1], -1.0 / h + c / 2.0, rtol=1e-13)
@@ -65,8 +74,8 @@ def test_G_constant_drift_signs():
 def test_G_zero_flux_rows_sum_to_zero():
     # columns of G sum to zero under zero-flux: the scheme conserves mass
     mesh = uniform_mesh(0.0, 1.0, 13)
-    G = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0 + 0.2 * x,
-                   lambda x: np.sin(3 * x))
+    G = transport(mesh, BcMode.ZERO_FLUX, lambda x: 1.0 + 0.2 * x,
+                  lambda x: np.sin(3 * x))
     colsums = tridiag_dense(G).sum(axis=0)
     np.testing.assert_allclose(colsums, 0.0, atol=1e-13)
 
@@ -75,12 +84,12 @@ def test_G_matches_dense_oracle():
     mesh = uniform_mesh(0.0, 1.0, 9)
     kappa = lambda x: 1.0 + 0.5 * x ** 2
     drift = lambda x: 0.3 - x
-    G = tridiag_dense(assemble_G(mesh, BcMode.ZERO_FLUX, kappa, drift))
+    G = tridiag_dense(transport(mesh, BcMode.ZERO_FLUX, kappa, drift))
     _, Gd = dense_matrices(mesh.nodes, kappa, drift)
     # library uses 2-point Gauss: exact for affine drift, close for the
     # quadratic kappa; the drift block must match to roundoff
     np.testing.assert_allclose(G, Gd, rtol=0, atol=2e-4)
-    Gl = tridiag_dense(assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0, drift))
+    Gl = tridiag_dense(transport(mesh, BcMode.ZERO_FLUX, lambda x: 1.0, drift))
     _, Gld = dense_matrices(mesh.nodes, lambda x: 1.0, drift)
     np.testing.assert_allclose(Gl, Gld, rtol=0, atol=1e-13)
 
@@ -88,13 +97,13 @@ def test_G_matches_dense_oracle():
 def test_G_rejects_nonpositive_kappa():
     mesh = uniform_mesh(0.0, 1.0, 8)
     with pytest.raises(ValueError):
-        assemble_G(mesh, BcMode.DIRICHLET, lambda x: x - 0.5, None)
+        assemble_G(mesh, BcMode.DIRICHLET, lambda x: x - 0.5)
 
 
 def test_tridiag_ops():
     mesh = uniform_mesh(0.0, 1.0, 6)
     M = assemble_mass(mesh, BcMode.ZERO_FLUX)
-    G = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0, None)
+    G = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0)
     v = np.sin(np.arange(7.0))
     np.testing.assert_allclose(M.matvec(v), tridiag_dense(M) @ v, rtol=1e-13)
     S = M.plus_scaled(G, 0.25)
@@ -106,7 +115,7 @@ def test_thomas_against_dense():
     rng = np.random.default_rng(7)
     mesh = uniform_mesh(0.0, 1.0, 40)
     A = assemble_mass(mesh, BcMode.DIRICHLET).plus_scaled(
-        assemble_G(mesh, BcMode.DIRICHLET, lambda x: 1.0 + x, None), 0.37)
+        assemble_G(mesh, BcMode.DIRICHLET, lambda x: 1.0 + x), 0.37)
     rhs = rng.standard_normal(A.n)
     x = thomas_solve(A, rhs)
     np.testing.assert_allclose(x, np.linalg.solve(tridiag_dense(A), rhs), rtol=1e-11)
@@ -115,7 +124,7 @@ def test_thomas_against_dense():
 def test_thomas_singular_raises():
     # pure-Neumann stiffness annihilates constants: singular system
     mesh = uniform_mesh(0.0, 1.0, 12)
-    K = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0, None)
+    K = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0)
     with pytest.raises(SingularSystemError):
         thomas_solve(K, np.zeros(K.n))
 

@@ -279,26 +279,24 @@ def test_one_mode_sum_per_evaluation(monkeypatch):
 
 
 def test_streamed_modes_match_direct_sum():
-    # modes past the cached rows are built block by block, more than one
-    # here; the points are off any lattice, so the FFT route does not apply
+    # modes past the grid's sine rows are built block by block, more than
+    # one here; the points are off any lattice, so the FFT route does not apply
     x = np.linspace(0.0, 1.0, 512) ** 1.5
-    assert problems._lattice(x) is None
-    grid = problems._find_grid([], x)
-    grid.rows(200)
+    grid = problems._find_grid([], x, _series("ex1", 0.7))
+    assert grid.lattice is None
     count = problems._ROW_CAP + 2 * (problems._MODE_BUF // x.size) + 5
     weights = np.random.default_rng(1).standard_normal((2, count))
     lam = (2.0 * np.arange(count) + 1.0) * math.pi
     np.testing.assert_allclose(problems._mode_sum(grid, weights),
                                weights @ np.sin(np.outer(lam, x)), rtol=1e-12, atol=1e-12)
-    # the cached rows never grow past the cap
-    assert grid.sin.shape[0] == problems._ROW_CAP
+    # the grid keeps the rows it was built with
+    assert grid.sin.shape == (problems._ROW_CAP, x.size)
 
 
 def test_streamed_block_is_bounded():
     # 3000 modes on the 8002-point flux grid: a block of 1024 modes would be
     # 65 MB, so the block is capped by entries instead
-    grid = problems._find_grid([], np.linspace(0.0, 1.0, 8002))
-    grid.rows(problems._ROW_CAP)  # the cached rows are built outside the trace
+    grid = problems._find_grid([], np.linspace(0.0, 1.0, 8002), _series("ex2", 0.4))
     weights = np.random.default_rng(2).standard_normal((12, 3000))
     tracemalloc.start()
     try:
@@ -312,9 +310,8 @@ def test_streamed_block_is_bounded():
 def test_streamed_block_is_bounded_off_lattice():
     # the same sum on points with no lattice takes the streamed block
     x = np.linspace(0.0, 1.0, 8002) ** 1.5
-    assert problems._lattice(x) is None
-    grid = problems._find_grid([], x)
-    grid.rows(problems._ROW_CAP)
+    grid = problems._find_grid([], x, _series("ex2", 0.4))
+    assert grid.lattice is None
     weights = np.random.default_rng(2).standard_normal((12, 3000))
     tracemalloc.start()
     try:
@@ -354,13 +351,13 @@ def test_other_points_have_no_lattice(x):
 @pytest.mark.parametrize("kind, elements", [(kind, elements) for kind in ("flux", "nodes")
                                              for elements in (2, 7, 400, 2000)] + [("wide", 100)])
 def test_lattice_modes_match_exact_phase_oracle(kind, elements):
-    # the FFT route alone (head weights zero), from one mode past the cached
+    # the FFT route alone (head weights zero), from one mode past the sine
     # rows to past 2L + 1 modes, where the fold wraps at least twice
     if kind == "wide":
         x = np.linspace(-1.0, 2.0, 301)  # lattice points outside [0, 1]
     else:
         x = _solver_grids(elements)[kind == "nodes"]
-    grid = problems._find_grid([], x)
+    grid = problems._find_grid([], x, _series("ex1", 0.7))
     lattice = problems._lattice(x)
     L = lattice[0]
     assert L == elements
@@ -378,18 +375,18 @@ def test_lattice_modes_over_thousands_of_folds(elements):
     # 20000 modes fold about 10000 times when L = 2: the twiddle's turns
     # q c must be reduced mod 1 exactly (rounded, they cost about 3e-10 here)
     x = _solver_grids(elements)[0]
-    grid = problems._find_grid([], x)
+    grid = problems._find_grid([], x, _series("ex1", 0.7))
     weights = np.vstack([np.ones(20000), np.random.default_rng(4).standard_normal(20000)])
     weights[:, :problems._ROW_CAP] = 0.0
     want = lattice_sum_oracle(problems._lattice(x), x, weights, np.arange(x.size))
     np.testing.assert_allclose(problems._mode_sum(grid, weights), want, rtol=1e-12, atol=1e-12)
 
 
-def _series(name):
-    """The SineSeries of example1 / example2."""
+def _series(name, alpha):
+    """The SineSeries of example1 / example2 at alpha."""
     if name == "ex1":
-        return problems.SineSeries(8.0, 3, False, Polynomial([0.0, 1.0, -1.0]))
-    return problems.SineSeries(4.0, 2, True, Polynomial([0.0, 1.0]))
+        return problems.SineSeries(8.0, 3, False, Polynomial([0.0, 1.0, -1.0]), alpha)
+    return problems.SineSeries(4.0, 2, True, Polynomial([0.0, 1.0]), alpha)
 
 
 _SWEEP_ALPHAS = (0.4, 0.6, 0.7, 0.9)
@@ -403,37 +400,15 @@ def test_corrections_match_per_term_oracle(name):
     x = np.linspace(0.0, 1.0, 201)
     for alpha in _SWEEP_ALPHAS:
         for kind in "uv":
-            series = _series(name)
-            grid = problems._find_grid([], x)
-            got = problems._eval_structured(series, kind, grid, _SWEEP_TIMES, alpha)
-            want = structured_eval_per_term(series, kind, grid, _SWEEP_TIMES, alpha)
+            series = _series(name, alpha)
+            grid = problems._find_grid([], x, series)
+            got = problems._eval_structured(series, kind, grid, _SWEEP_TIMES)
+            want = structured_eval_per_term(series, kind, grid, _SWEEP_TIMES)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
             for t in _SWEEP_TIMES:
-                got = problems._eval_structured(series, kind, grid, float(t), alpha)
-                want = structured_eval_per_term(series, kind, grid, float(t), alpha)[0]
+                got = problems._eval_structured(series, kind, grid, float(t))
+                want = structured_eval_per_term(series, kind, grid, float(t))[0]
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("name", ["ex1", "ex2"])
-def test_choose_mk_constants_kept_per_beta_alpha(name):
-    # one series answers for every (beta, alpha) in turn; its kept constants
-    # never change a choice against a series that has seen nothing
-    shared = _series(name)
-    for alpha in _SWEEP_ALPHAS:
-        for beta in (1.0, alpha):
-            for t in _SWEEP_TIMES:
-                got = problems._choose_mk(shared, beta, float(t), alpha)
-                assert got == problems._choose_mk(_series(name), beta, float(t), alpha)
-
-
-def test_choose_mk_reads_order_at_call_time(monkeypatch):
-    # constants kept under a lower _ORDER are extended when it is raised
-    series = _series("ex1")
-    monkeypatch.setattr(problems, "_ORDER", 0)
-    low = problems._choose_mk(series, 1.0, 1e-3, 0.7)
-    monkeypatch.setattr(problems, "_ORDER", 6)
-    high = problems._choose_mk(series, 1.0, 1e-3, 0.7)
-    assert high == problems._choose_mk(_series("ex1"), 1.0, 1e-3, 0.7) != low
 
 
 @pytest.fixture
@@ -444,8 +419,8 @@ def made_grids(monkeypatch):
     class Recorded(problems._Grid):
         __slots__ = ()
 
-        def __init__(self, x):
-            super().__init__(x)
+        def __init__(self, x, series):
+            super().__init__(x, series)
             made.append(self)
 
     monkeypatch.setattr(problems, "_Grid", Recorded)
@@ -483,46 +458,65 @@ def test_exact_memo_starts_over_at_cap(monkeypatch, made_grids):
     assert len(grid.exact) <= 3
 
 
-def test_study_work_counts(monkeypatch, made_grids):
-    # each closed form P_k is evaluated once per grid, and _choose_mk's
-    # t-independent constants once per (beta, alpha)
-    on = []
-    eval_P = problems.SineSeries.eval_P
+def test_grids_are_built_whole_once(monkeypatch, made_grids):
+    # building a grid evaluates each P_k once and finds its lattice once;
+    # the study's later calls, past the grid's sine rows too, do neither
+    on, lattices, counts = [], [], []
+    eval_P, lattice, mode_sum = problems.SineSeries.eval_P, problems._lattice, problems._mode_sum
 
     def counted_P(self, k, x):
         on.append((k, x))
         return eval_P(self, k, x)
 
-    rgamma_calls = [0]
-    rgamma = problems.rgamma
+    def counted_lattice(x):
+        lattices.append(x)
+        return lattice(x)
 
-    def counted_rgamma(z):
-        rgamma_calls[0] += 1
-        return rgamma(z)
-
-    choices = []
-    choose_mk = problems._choose_mk
-
-    def counted_choose_mk(series, beta, t, alpha):
-        before = rgamma_calls[0]
-        got = choose_mk(series, beta, t, alpha)
-        choices.append(((beta, alpha), rgamma_calls[0] - before))
-        return got
+    def counted_mode_sum(grid, weights):
+        counts.append(weights.shape[-1])
+        return mode_sum(grid, weights)
 
     monkeypatch.setattr(problems.SineSeries, "eval_P", counted_P)
-    monkeypatch.setattr(problems, "rgamma", counted_rgamma)
-    monkeypatch.setattr(problems, "_choose_mk", counted_choose_mk)
-    report = run_study("ex1", [0.7], [2.3], [64], elements=200)
+    monkeypatch.setattr(problems, "_lattice", counted_lattice)
+    monkeypatch.setattr(problems, "_mode_sum", counted_mode_sum)
+    report = run_study("ex2", [0.4], [5.0], [32], elements=200)
     assert report.ok
+    assert max(counts) > problems._ROW_CAP
     assert len(made_grids) == 2  # the nodal grid and the flux grid
     for grid in made_grids:
-        ks = [k for k, x in on if x is grid.flat]
-        assert 0 < len(ks) == len(set(ks)) <= problems._ORDER + 1
-    seen = set()
-    for key, calls in choices:
-        assert (calls > 0) == (key not in seen), (key, calls)
-        seen.add(key)
-    assert seen == {(1.0, 0.7), (0.7, 0.7)}
+        assert grid.lattice is not None
+        assert [k for k, x in on if x is grid.flat] == list(range(problems._ORDER + 1))
+        assert [x for x in lattices if x is grid.flat] == [grid.flat]
+    assert len(lattices) == 2
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_choose_mk_needs_no_gamma_after_build(monkeypatch, name):
+    series = [_series(name, alpha) for alpha in _SWEEP_ALPHAS + (1.0,)]
+    calls = []
+    gamma, rgamma = math.gamma, problems.rgamma
+    monkeypatch.setattr(math, "gamma", lambda z: calls.append(z) or gamma(z))
+    monkeypatch.setattr(problems, "rgamma", lambda z: calls.append(z) or rgamma(z))
+    for s in series:
+        for beta in (1.0, s.alpha):
+            for t in _SWEEP_TIMES:
+                problems._choose_mk(s, beta, float(t))
+    assert calls == []
+
+
+@pytest.mark.parametrize("count", [problems._ROW_CAP + 1, 100, 256])
+@pytest.mark.parametrize("kind", ["flux", "nodes"])
+def test_mode_sums_past_the_rows_match_direct_product(kind, count):
+    # head rows and FFT tail together, on both grids the solver builds; the
+    # weights decay like ex2's coefficients, since the direct product's own
+    # rounding grows like eps lam_m |w_m| (about 4e-12 at mode 256 for O(1)
+    # weights)
+    x = _solver_grids(200)[kind == "nodes"]
+    grid = problems._find_grid([], x, _series("ex2", 0.6))
+    lam = (2.0 * np.arange(count) + 1.0) * math.pi
+    weights = np.random.default_rng(count).standard_normal((3, count)) * lam ** -2.0
+    np.testing.assert_allclose(problems._mode_sum(grid, weights),
+                               weights @ np.sin(np.outer(lam, x)), rtol=1e-12, atol=1e-12)
 
 
 def test_truncation_error_raised(monkeypatch):

@@ -404,12 +404,16 @@ def test_problem_rejects_nonintegrable_rho_when_built():
     {"alpha": 0.0},
     {"alpha": 1.5},
     {"T": 0.0},
+    {"T": math.inf},
     {"domain": (1.0, 1.0)},
     {"domain": (1.0, 0.0)},
+    {"domain": (0.0, math.inf)},
+    {"domain": (-math.inf, 1.0)},
     {"default_projection": "spline"},
     {"f": lambda x, t: np.ones_like(x), "f_regular": lambda x, t: np.ones_like(x)},
-], ids=["bc-string", "alpha-zero", "alpha-above-one", "T-zero", "domain-empty",
-        "domain-reversed", "projection", "f-and-f_regular"])
+], ids=["bc-string", "alpha-zero", "alpha-above-one", "T-zero", "T-infinite", "domain-empty",
+        "domain-reversed", "domain-end-infinite", "domain-start-infinite", "projection",
+        "f-and-f_regular"])
 def test_problem_rejects_inconsistent_inputs_when_built(bad):
     with pytest.raises((TypeError, ValueError)):
         make_problem(**bad)
