@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _PROBLEMS = {"ex1": example1, "ex2": example2}
+# time levels per exact-solution call, the source quadrature's batch size
+_EXACT_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,9 @@ def compute_errors(trajectory: Trajectory, problem: ProblemSpec):
 
     eps_N = max_n ||U^n - I_h u(t_n)|| over n = 1..N; the weighted variant
     multiplies by t_n**(alpha/4) before the max.  I_h samples the exact
-    solution at the nodes.
+    solution at the nodes: problem.exact gets them with a 1-D array of up to
+    _EXACT_BLOCK time levels per call and must return one row of nodal
+    values per time; any other shape raises ValueError.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to compare against")
@@ -64,9 +68,14 @@ def compute_errors(trajectory: Trajectory, problem: ProblemSpec):
     xs = space.nodes
     times = trajectory.times[1:]
     errs = np.empty(times.size)
-    for i, tn in enumerate(times):
-        diff = trajectory.values[i + 1] - np.asarray(problem.exact(xs, float(tn)), dtype=float)
-        errs[i] = l2_norm(diff, space)
+    for s in range(0, times.size, _EXACT_BLOCK):
+        block = times[s:s + _EXACT_BLOCK]
+        u = np.asarray(problem.exact(xs, block), dtype=float)
+        if u.shape != block.shape + xs.shape:
+            raise ValueError(f"problem {problem.name!r}: exact(x, t) for {block.size} times "
+                             f"returned shape {u.shape}, expected {block.shape + xs.shape}")
+        diff = trajectory.values[s + 1:s + 1 + block.size] - u
+        errs[s:s + block.size] = [l2_norm(row, space) for row in diff]
     eps = float(errs.max()) if errs.size else 0.0
     weps = float((times ** (problem.alpha / 4.0) * errs).max()) if errs.size else 0.0
     return eps, weps, ErrorTrace(times=times.copy(), errors=errs)

@@ -182,7 +182,8 @@ class ConvolutionWeights:
 
 # The Taylor sum serves z <= 1, where every term is at most about
 # 1/min Gamma = 1.13, so it needs no cutoff search; the quadrature is good to
-# ~1e-14 from z = 1 up.
+# ~1e-14 from z = 1 up.  Near z = 1 the terms only fall below the stop once
+# mu p is about 25, so the term cap is the larger of _TAYLOR_PMAX and 40/mu.
 _TAYLOR_PMAX = 4096
 # Double-exponential nodes rho = exp(t - e^-t) for the Hankel integral
 # (_ml_hankel): 136 nodes, t = -7.5..6 in steps of 0.1.  The first node sits
@@ -203,7 +204,7 @@ def _ml_taylor(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
     total = np.full(z.shape, rgamma(beta))
     p0 = 1
     block = 32
-    while p0 < _TAYLOR_PMAX:
+    while p0 < max(_TAYLOR_PMAX, math.ceil(40.0 / mu)):
         p = np.arange(p0, p0 + block, dtype=float)
         lg = gammaln(mu * p + beta)
         terms = np.exp(p[None, :] * lnz[:, None] - lg[None, :])

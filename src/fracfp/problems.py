@@ -31,11 +31,9 @@ primitives P_0.._ORDER and, for beta in {1, alpha}, the t-independent
 constants of _choose_mk.  A grid is built whole for the series the first
 time its points are seen: the first _ROW_CAP sin(lam_m x) rows, its lattice
 and the P_k on its points.  Nothing in either grows after that; the only
-caches are the grids themselves (the oldest dropped first) and, per grid,
-the exact values already computed, by time (at most _MEMO_CAP, then it
-starts over).  A grid is found by value (shape and contents, against a
-private copy of its points), not by array identity, so editing an array in
-place never returns stale values; exact values come back read-only.
+caches are the grids themselves (the oldest dropped first).  A grid is found
+by value (shape and contents, against a private copy of its points), not by
+array identity, so editing an array in place never returns stale values.
 """
 
 from __future__ import annotations
@@ -79,18 +77,16 @@ _ORDER = 6
 _ROW_CAP = 32  # sine rows a grid keeps; almost every mode sum needs no more
 _MODE_BUF = 1 << 21  # entries of the block streamed modes are built in (16 MB)
 _GRID_CAP = 8  # grids one problem keeps, oldest dropped first
-_MEMO_CAP = 4096  # exact values one grid keeps before it starts over
 _HALF = np.linspace(0.0, 0.5, 129)  # where the primitives' maxima are sampled
 
 
 class _Grid:
     """One spatial grid of a series problem, built whole for its series: a
     private copy of its points, their first _ROW_CAP sin(lam_m x) rows (the
-    lam grid is universal), its lattice (see _lattice; None off a lattice),
-    the closed forms P_0.._ORDER of the series on them as one array, and the
-    exact values already computed on it, by time."""
+    lam grid is universal), its lattice (see _lattice; None off a lattice)
+    and the closed forms P_0.._ORDER of the series on them as one array."""
 
-    __slots__ = ("x", "flat", "sin", "lattice", "P", "exact")
+    __slots__ = ("x", "flat", "sin", "lattice", "P")
 
     def __init__(self, x: np.ndarray, series: "SineSeries"):
         self.x = x
@@ -99,7 +95,6 @@ class _Grid:
         self.sin = np.sin(np.outer(lam, self.flat))
         self.lattice = _lattice(self.flat)
         self.P = np.array([series.eval_P(k, self.flat) for k in range(len(series.prims))])
-        self.exact: dict = {}
 
 
 def _lattice(x: np.ndarray):
@@ -398,7 +393,9 @@ class ProblemSpec:
     cofactors.  f_regular is the pointwise part, f the same part with its
     t**rho factor; flux_regular is a flux g whose x-derivative is part of
     the source, which the stepper assembles as -<g, phi'> + [g phi] without
-    differentiating g.
+    differentiating g.  f_regular, flux_regular and exact take the points x
+    and a 1-D array of times t and return an array of shape t.shape +
+    x.shape; f takes one time.
     exact, u0_prime, f, f_regular, flux_regular may be None, but f and
     f_regular not both.  Inconsistent inputs are rejected here: alpha outside
     (0, 1], a T that is not positive and finite, an empty domain or one
@@ -448,18 +445,7 @@ def _series_problem(name: str, series: SineSeries, default_projection: str) -> P
     grids: list = []  # shared by exact and flux_regular
 
     def exact(x, t):
-        # every run asks for the same nodal grid at each of its time levels
-        grid = _find_grid(grids, x, series)
-        key = float(t)
-        val = grid.exact.get(key)
-        if val is None:
-            val = _eval_structured(series, "u", grid, key)
-            if isinstance(val, np.ndarray):
-                val.flags.writeable = False  # shared by every later call
-            if len(grid.exact) >= _MEMO_CAP:
-                grid.exact.clear()
-            grid.exact[key] = val
-        return val
+        return _eval_structured(series, "u", _find_grid(grids, x, series), t)
 
     def flux_regular(x, t):
         # f_regular = (sin t - x) V_x - V is the x-derivative of this flux

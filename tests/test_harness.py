@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fracfp
+from fracfp import problems
 from fracfp import (
     ConvergenceReport,
     ErrorTrace,
@@ -22,6 +23,7 @@ from fracfp import (
     uniform_mesh,
     write_csv,
 )
+from fracfp.fem1d import l2_norm
 from fracfp.harness import main
 from fracfp.stepper import SolverConfig
 
@@ -64,6 +66,45 @@ def test_compute_errors_needs_exact():
     blind = dataclasses.replace(prob, exact=None)
     with pytest.raises(ValueError, match="exact"):
         compute_errors(traj, blind)
+
+
+def test_compute_errors_one_exact_call_per_block_of_times():
+    # 20 time levels in blocks of 8: three calls, each with a 1-D array of
+    # times; the errors match per-time calls up to the series tail bound,
+    # since a block takes its truncation at its smallest time
+    prob = example1(0.7)
+    space = uniform_mesh(0.0, 1.0, 40)
+    traj = solve(prob, SolverConfig(alpha=0.7, mesh=build_mesh(prob.T, 20, 1.6), spatial=space))
+    shapes = []
+
+    def counted(x, t):
+        shapes.append(np.shape(t))
+        return prob.exact(x, t)
+
+    eps, weps, trace = compute_errors(traj, dataclasses.replace(prob, exact=counted))
+    assert shapes == [(8,), (8,), (4,)]
+    loop = np.array([l2_norm(traj.values[n] - prob.exact(space.nodes, float(t)), space)
+                     for n, t in enumerate(traj.times[1:], start=1)])
+    tol = 2.0 * problems._TAIL_TOL
+    np.testing.assert_allclose(trace.errors, loop, rtol=0, atol=tol)
+    assert eps == pytest.approx(loop.max(), rel=0, abs=tol)
+    assert weps == pytest.approx((trace.times ** (0.7 / 4) * loop).max(), rel=0, abs=tol)
+
+
+@pytest.mark.parametrize("layout", ["one time", "x-major"])
+def test_compute_errors_rejects_exact_of_wrong_shape(layout):
+    prob = example1(0.5)
+    space = uniform_mesh(0.0, 1.0, 20)
+    traj = solve(prob, SolverConfig(alpha=0.5, mesh=build_mesh(prob.T, 4, 1.0), spatial=space))
+    if layout == "one time":
+        # written for a scalar t: one nodal row, whatever it is given
+        def exact(x, t):
+            return x * (1.0 - x) * np.exp(-float(np.max(t)))
+    else:
+        def exact(x, t):
+            return np.multiply.outer(x * (1.0 - x), np.exp(-np.asarray(t)))
+    with pytest.raises(ValueError, match=r"expected \(4, 21\)"):
+        compute_errors(traj, dataclasses.replace(prob, exact=exact))
 
 
 def test_error_trace_validation():

@@ -276,6 +276,19 @@ def test_ml_small_mu_general_beta_near_switch():
     assert mittag_leffler(mu, beta, -x) == pytest.approx(ml_oracle(mu, beta, x), rel=2e-12)
 
 
+@pytest.mark.parametrize("mu", [0.01, 0.005, 0.001])
+@pytest.mark.parametrize("beta_kind", ["one", "mu"])
+def test_ml_taylor_small_mu_near_one(mu, beta_kind):
+    # the terms z**p / Gamma(mu p + beta) only fall below the stop once mu p
+    # is about 25, far past 4096 terms here; at beta = mu the sum of O(1)
+    # terms cancels to about mu, so it keeps fewer digits
+    beta = 1.0 if beta_kind == "one" else mu
+    zs = np.array([0.9, 0.99, 1.0])
+    want = np.array([ml_oracle(mu, beta, float(z)) for z in zs])
+    np.testing.assert_allclose(mittag_leffler(mu, beta, -zs), want,
+                               rtol=1e-13 if beta_kind == "one" else 1e-10)
+
+
 def test_ml_mu_one_beta_two_is_expm1():
     # E_{1,2}(-z) = (1 - e**-z)/z
     z = np.logspace(-3, 6, 200)

@@ -237,6 +237,19 @@ def test_exact_after_in_place_edit():
     np.testing.assert_array_equal(prob.exact(x, 0.3), example1(0.7).exact(x.copy(), 0.3))
 
 
+@pytest.mark.parametrize("make", [example1, example2])
+def test_exact_takes_an_array_of_times(make):
+    # the time contract of f_regular/flux_regular: t.shape + x.shape out;
+    # each row is within the tail bound of its own scalar call
+    prob = make(0.6)
+    x = np.linspace(0.0, 1.0, 11)
+    ts = np.array([0.0, 1e-6, 0.05, 0.4, 1.0])
+    got = prob.exact(x, ts)
+    assert got.shape == (ts.size, x.size)
+    for t, row in zip(ts, got):
+        np.testing.assert_allclose(row, prob.exact(x, float(t)), rtol=0, atol=2.0 * problems._TAIL_TOL)
+
+
 def test_flux_after_in_place_edit():
     prob = example2(0.6)
     x = np.linspace(0.0, 1.0, 11)
@@ -441,21 +454,6 @@ def test_grid_cache_drops_oldest_past_cap(made_grids):
     # the second grid was dropped to make room for it; the last one was kept
     prob.exact(xs[-1], 0.3)
     assert len(made_grids) == problems._GRID_CAP + 2
-
-
-def test_exact_memo_starts_over_at_cap(monkeypatch, made_grids):
-    monkeypatch.setattr(problems, "_MEMO_CAP", 3)
-    prob = example1(0.7)
-    x = np.linspace(0.0, 1.0, 11)
-    ts = [0.1, 0.2, 0.3, 0.4, 0.5]
-    for t in ts:
-        prob.exact(x, t)
-    (grid,) = made_grids
-    # cleared when the fourth value arrived, then refilled
-    assert sorted(grid.exact) == [0.4, 0.5]
-    for t in ts:
-        np.testing.assert_array_equal(prob.exact(x, t), example1(0.7).exact(x, t))
-    assert len(grid.exact) <= 3
 
 
 def test_grids_are_built_whole_once(monkeypatch, made_grids):
