@@ -1,5 +1,6 @@
 """P1 Galerkin finite elements on a uniform interval mesh.
 
+The mesh owns the quadrature points every integral over it is sampled on.
 Tridiagonal assembly of the mass matrix and the diffusion-advection matrix,
 the one 4-point Gauss load assembly, the broken L2 norm used for error
 measurement, initial-data projections, and the tridiagonal solve that
@@ -9,7 +10,7 @@ everything funnels through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -24,8 +25,6 @@ __all__ = [
     "assemble_mass",
     "assemble_G",
     "drift_band",
-    "gauss_points",
-    "gauss2_points",
     "l2_norm",
     "load_from_values",
     "load_vector",
@@ -54,13 +53,25 @@ class SingularSystemError(Exception):
 
 @dataclass(frozen=True)
 class SpatialMesh:
-    """Uniform mesh of M_x elements on [a, b] with nodes x_p = a + p h."""
+    """Uniform mesh of M_x elements on [a, b] with nodes x_p = a + p h, and
+    the read-only points its integrals are sampled on, built with it: gauss2,
+    the 2-point Gauss nodes of assemble_G and drift_band (every element's
+    left node, then every right node), and load_x, the 4-point Gauss nodes
+    of the loads element by element, then a and b for a flux's end terms."""
 
     a: float
     b: float
     M_x: int
     h: float
     nodes: np.ndarray
+    gauss2: np.ndarray = field(init=False, repr=False, compare=False)
+    load_x: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        xm, half = 0.5 * (self.nodes[:-1] + self.nodes[1:]), 0.5 * self.h
+        object.__setattr__(self, "gauss2", np.ravel(xm + half * np.array([[-_G2], [_G2]])))
+        object.__setattr__(self, "load_x", np.append(xm[:, None] + half * _GL4_X, [self.a, self.b]))
+        self.gauss2.flags.writeable = self.load_x.flags.writeable = False
 
 
 def uniform_mesh(a: float, b: float, m: int) -> SpatialMesh:
@@ -137,17 +148,9 @@ def _eval_on(fun, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def gauss2_points(mesh: SpatialMesh) -> np.ndarray:
-    """The 2-point Gauss nodes on which assemble_G samples kappa and
-    drift_band takes the drift, flat: every element's left node, then every
-    element's right node."""
-    xm = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-    return np.concatenate([xm - 0.5 * mesh.h * _G2, xm + 0.5 * mesh.h * _G2])
-
-
 def drift_band(mesh: SpatialMesh, bc: BcMode, values) -> TriDiagMatrix:
     """Matrix of -<F phi_q, phi_p'>, 2-point Gauss per element (exact for
-    affine F); values holds F on gauss2_points(mesh), or one number."""
+    affine F); values holds F on mesh.gauss2, or one number."""
     d = np.asarray(values, dtype=float)
     if d.shape != (2 * mesh.M_x,):
         d = np.broadcast_to(d, (2 * mesh.M_x,))
@@ -167,8 +170,7 @@ def assemble_G(mesh: SpatialMesh, bc: BcMode, kappa) -> TriDiagMatrix:
     (exact for constant kappa); the drift part is added as drift_band.
     Raises if kappa is nonpositive at a quadrature node.
     """
-    x = gauss2_points(mesh)
-    kv = _eval_on(kappa, x)
+    kv = _eval_on(kappa, mesh.gauss2)
     if np.any(kv <= 0.0):
         raise ValueError("kappa must be positive at every quadrature node")
     k_el = (kv[: mesh.M_x] + kv[mesh.M_x :]) / (2.0 * mesh.h)
@@ -193,26 +195,22 @@ def l2_norm(values: np.ndarray, mesh: SpatialMesh) -> float:
     return math.sqrt(mesh.h * acc / 3.0)
 
 
-def gauss_points(mesh: SpatialMesh) -> np.ndarray:
-    """(M_x, 4) array of the 4-point Gauss nodes of every element."""
-    xm = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
-    return xm[:, None] + (0.5 * mesh.h) * _GL4_X[None, :]
-
-
 def load_from_values(mesh: SpatialMesh, values=None, flux=None, ends=None) -> np.ndarray:
     """Full nodal vector of <v, phi_p> - <g, phi_p'> + [g phi_p]_a^b.
 
-    values and flux hold v and g on gauss_points(mesh); ends holds g(a), g(b).
-    Any of them may be None.  With all three this is the load of v + g'.
+    values and flux hold v and g on the interior points mesh.load_x[:-2];
+    ends holds g(a), g(b).  Any of them may be None.  With all three this is
+    the load of v + g'.
     """
     out = np.zeros(mesh.M_x + 1)
     if values is not None:
         half = 0.5 * mesh.h
+        values = values.reshape(mesh.M_x, 4)
         out[:-1] += half * (values @ (_GL4_W * (0.5 * (1.0 - _GL4_X))))
         out[1:] += half * (values @ (_GL4_W * (0.5 * (1.0 + _GL4_X))))
     if flux is not None:
         # phi_p' = -+1/h cancels the h/2 scale of the rule
-        el = 0.5 * (flux @ _GL4_W)
+        el = 0.5 * (flux.reshape(mesh.M_x, 4) @ _GL4_W)
         out[:-1] += el
         out[1:] -= el
     if ends is not None:
@@ -223,7 +221,7 @@ def load_from_values(mesh: SpatialMesh, values=None, flux=None, ends=None) -> np
 
 def load_vector(g, mesh: SpatialMesh) -> np.ndarray:
     """Full nodal vector of ∫ g φ_p dx, 4-point Gauss per element."""
-    return load_from_values(mesh, _eval_on(g, gauss_points(mesh)))
+    return load_from_values(mesh, _eval_on(g, mesh.load_x[:-2]))
 
 
 def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
@@ -251,7 +249,7 @@ def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
             raise ValueError("ritz projection is only supported with dirichlet boundaries")
         if u0_prime is None:
             raise ValueError("ritz projection needs the derivative u0_prime")
-        xg = gauss_points(mesh)
+        xg = mesh.load_x[:-2]
         # <kappa u0', phi_p'> is the load of -(kappa u0')' in flux form
         rhs = load_from_values(mesh, flux=-_eval_on(kappa, xg) * _eval_on(u0_prime, xg))
         stiff = assemble_G(mesh, bc, kappa)

@@ -195,7 +195,8 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
     exact solution solves.  A row's rate compares it with the (alpha, gamma,
     2N) row, so it is only present when that row exists and both errors are
     positive.  Any solver failure is caught and recorded on the row (see
-    ConvergenceReport.ok).
+    ConvergenceReport.ok); so is a step count that is not an integer, which
+    the row keeps as given.
     """
     factory = _PROBLEMS[problem] if isinstance(problem, str) else problem
     pname = problem if isinstance(problem, str) else getattr(factory, "__name__", "custom")
@@ -210,16 +211,16 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
             for gamma in sorted(gammas):
                 for N in sorted(Ns):
                     report.rows.append(StudyRow(problem=pname, alpha=alpha, gamma=gamma,
-                                                N=int(N), h=unit_h,
+                                                N=N, h=unit_h,
                                                 error=f"{type(exc).__name__}: {exc}"))
             continue
         pname = prob.name
         for gamma in sorted(gammas):
             for N in sorted(Ns):
-                row = StudyRow(problem=pname, alpha=alpha, gamma=gamma, N=int(N), h=space.h)
+                row = StudyRow(problem=pname, alpha=alpha, gamma=gamma, N=N, h=space.h)
                 start = time.perf_counter()
                 try:
-                    tmesh = build_mesh(prob.T, int(N), gamma)
+                    tmesh = build_mesh(prob.T, N, gamma)
                     config = SolverConfig(alpha=alpha, mesh=tmesh, spatial=space)
                     traj = solve(prob, config)
                     row.eps, row.weps, trace = compute_errors(traj, prob)

@@ -346,8 +346,8 @@ def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t):
     """
     tarr = np.asarray(t, dtype=float)
     ts = np.atleast_1d(tarr)
-    if np.any(ts < 0.0):
-        raise ValueError("series evaluation requires t >= 0")
+    if not np.all((ts >= 0.0) & (ts < math.inf)):
+        raise ValueError("series evaluation requires finite t >= 0")
 
     alpha = series.alpha
     beta = 1.0 if kind == "u" else alpha

@@ -24,8 +24,6 @@ from .fem1d import (
     assemble_G,
     assemble_mass,
     drift_band,
-    gauss2_points,
-    gauss_points,
     load_from_values,
     project_initial,
     thomas_solve,
@@ -89,19 +87,18 @@ class Trajectory:
 @dataclass(frozen=True)
 class _Plan:
     """What every step of one solve reads: the mass matrix, the kappa
-    stiffness K, the 2 M_x points the drift is sampled on, and the weights."""
+    stiffness K and the weights."""
 
     mass: TriDiagMatrix
     K: TriDiagMatrix
-    drift_x: np.ndarray
     cw: ConvolutionWeights
 
 
 @dataclass
 class SolverState:
     """Mutable per-solve state: completed step count, increments, current
-    solution at the unknowns, the per-solve plan, the drift at t_n on the
-    plan's points (None without drift), and the open history block.  The
+    solution at the unknowns, the per-solve plan, the drift at t_n on
+    SpatialMesh.gauss2 (None without drift), and the open history block.  The
     boundary condition is read from the problem.
 
     W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
@@ -133,9 +130,10 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
     and flux_regular smooth (problems declare rho; 0 means none); a problem
     without f_regular may give the pointwise f, singular factor included.
     The flux part is assembled as -<g, phi_p'> + [g phi_p]_a^b, so it needs g
-    only, never its derivative; g is evaluated once per interval, on the
-    Gauss points followed by the two endpoints, in one batched call over the
-    time nodes.  Under Dirichlet conditions to_dof drops the boundary rows,
+    only, never its derivative; g is evaluated once per interval, on
+    spatial.load_x (the Gauss points, then the two endpoints), in one
+    batched call over the time nodes; f and f_regular on the Gauss points
+    only.  Under Dirichlet conditions to_dof drops the boundary rows,
     endpoint terms included.  The time rule is 8-point Gauss in the
     substituted variable s = t**(rho+1); space uses 4-point Gauss per
     element.  Relative accuracy on the built-in manufactured sources is
@@ -161,7 +159,7 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
         # their trig mode matrices across the batch
         return np.tensordot(_GL8_W, np.asarray(fn(x, tvals), dtype=float), axes=(0, 0))
 
-    quad_x = gauss_points(spatial)
+    quad_x = spatial.load_x[:-2]
     values = flux = ends = None
     if problem.f_regular is not None:
         values = fold(problem.f_regular, quad_x)
@@ -170,8 +168,8 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
         for wq, tv in zip(_GL8_W, tvals):
             values += wq * tv ** (-rho) * np.asarray(problem.f(quad_x, tv), dtype=float)
     if problem.flux_regular is not None:
-        g = fold(problem.flux_regular, np.append(quad_x, [spatial.a, spatial.b]))
-        flux, ends = g[:-2].reshape(quad_x.shape), g[-2:]
+        g = fold(problem.flux_regular, spatial.load_x)
+        flux, ends = g[:-2], g[-2:]
     return load_from_values(spatial, values, flux, ends) * (shalf / q)
 
 
@@ -199,13 +197,13 @@ def init_state(problem, config: SolverConfig) -> SolverState:
     W[0] = U0_full
     U_dof = to_dof(U0_full, bc)
     plan = _Plan(mass=assemble_mass(space, bc), K=assemble_G(space, bc, problem.kappa),
-                 drift_x=gauss2_points(space), cw=ConvolutionWeights(config.mesh, config.alpha))
+                 cw=ConvolutionWeights(config.mesh, config.alpha))
     return SolverState(
         n=0,
         U_dof=U_dof,
         W=W,
         _plan=plan,
-        _drift=None if problem.drift is None else problem.drift(plan.drift_x, config.mesh.nodes[0]),
+        _drift=None if problem.drift is None else problem.drift(space.gauss2, config.mesh.nodes[0]),
         _hist_old=np.empty((0, U_dof.size)),
         _hist_tail=np.empty((0, 0)),
     )
@@ -228,8 +226,9 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     with the history vector H^n = sum_{j<n} (w_{n,j}/tau_j) W^j, and store
     W^n in row n of state.W.
 
-    G^n is K plus the drift band of 0.5 (F(t_{n-1}) + F(t_n)); F(t_n) is
-    kept for the next step, so a solve evaluates the drift N + 1 times.
+    G^n is K plus the drift band of 0.5 (F(t_{n-1}) + F(t_n)), F sampled on
+    SpatialMesh.gauss2; F(t_n) is kept for the next step (and for solve's
+    step-size check), so a solve evaluates the drift N + 1 times.
 
     H^n is exact.  The first step of each block of _BLOCK steps takes the
     weight rows of all the block's steps and sums their history over the
@@ -249,7 +248,7 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     plan = state._plan
     G, F, drift = plan.K, problem.drift, None
     if F is not None:
-        drift = F(plan.drift_x, t1)
+        drift = F(config.spatial.gauss2, t1)
         G = G.plus_scaled(drift_band(config.spatial, bc, 0.5 * (state._drift + drift)), 1.0)
     S = plan.mass.plus_scaled(G, plan.cw.d(n))
 
@@ -273,39 +272,32 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     return state
 
 
-def _stability_inputs(problem, config: SolverConfig):
-    """Sampled drift bound and diffusion floor for the step-size diagnostic."""
-    space = config.spatial
-    xq = gauss_points(space)
-    kv = np.asarray(problem.kappa(xq), dtype=float)
-    kmin = float(kv.min()) if kv.shape else float(kv)
-    c0 = 0.0
-    if problem.drift is not None:
-        for t in config.mesh.nodes:
-            fv = np.asarray(problem.drift(space.nodes, t), dtype=float)
-            c0 = max(c0, float(np.max(np.abs(fv))))
-    return c0, kmin
-
-
 def solve(problem, config: SolverConfig) -> Trajectory:
     """Run the full L1 sweep: O(N^2 d_h) time, with the stored increments
     read once per block of _BLOCK steps; memory is one (N+1) x (M_x+1)
     buffer, whose increment rows become the trajectory in place.
 
-    Emits a UserWarning (never an error) when the mesh fails the sufficient
-    step-size condition for the discrete stability bound; filter it with
-    warnings.filterwarnings("ignore", "time mesh violates").
+    After the sweep, emits a UserWarning (never an error) when the mesh
+    fails the sufficient step-size condition for the discrete stability
+    bound, checked on the solve's own samples: c0 is the largest |F| the
+    steps computed (on SpatialMesh.gauss2 at t_0..t_N) and the diffusion
+    floor the smallest kappa on gauss2, where K is assembled.  Filter it
+    with warnings.filterwarnings("ignore", "time mesh violates").
     """
-    c0, kmin = _stability_inputs(problem, config)
+    state = init_state(problem, config)
+    drift = problem.drift is not None
+    c0 = float(np.abs(state._drift).max()) if drift else 0.0
+    for _ in range(config.mesh.N):
+        step(state, config, problem)
+        if drift:
+            c0 = max(c0, float(np.abs(state._drift).max()))
+    kmin = float(np.min(problem.kappa(config.spatial.gauss2)))
     if not check_step_assumption(config.mesh, config.alpha, c0, kmin):
         warnings.warn(
             "time mesh violates the sufficient step-size condition; "
             "the discrete stability bound is not guaranteed",
             stacklevel=2,
         )
-    state = init_state(problem, config)
-    for _ in range(config.mesh.N):
-        step(state, config, problem)
     # U^n = U^0 + W^1 + ... + W^n, added in step order; row 0 (full U^0) and
     # the Dirichlet boundary columns (zero for n >= 1) are left as they are
     W = state.W[:, _dofs(problem.bc)]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ def build_mesh(T: float, N: int, gamma: float) -> GradedMesh:
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be positive and finite, got {T}")
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
     tau = T ** (1.0 / gamma) / N

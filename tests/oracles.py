@@ -267,7 +267,7 @@ def direct_l1_solve(problem, config) -> np.ndarray:
     """
     from fracfp import (ConvolutionWeights, assemble_G, assemble_mass, assemble_source,
                         project_initial, thomas_solve, to_dof, to_full)
-    from fracfp.fem1d import drift_band, gauss2_points
+    from fracfp.fem1d import drift_band
 
     bc = problem.bc
     space, tmesh = config.spatial, config.mesh
@@ -283,7 +283,7 @@ def direct_l1_solve(problem, config) -> np.ndarray:
     cw = ConvolutionWeights(tmesh, config.alpha)
     F = problem.drift
     K = assemble_G(space, bc, problem.kappa)
-    xg = gauss2_points(space)
+    xg = space.gauss2
     for n in range(1, N + 1):
         t0, t1 = tmesh.nodes[n - 1], tmesh.nodes[n]
         G = K if F is None else K.plus_scaled(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fracfp import (
     uniform_mesh,
 )
 
-from fracfp.fem1d import drift_band, gauss2_points
+from fracfp.fem1d import drift_band
 
 from oracles import dense_load, dense_matrices, tridiag_dense
 
@@ -26,7 +27,7 @@ from oracles import dense_load, dense_matrices, tridiag_dense
 def transport(mesh, bc, kappa, drift):
     """The stepper's G: assemble_G plus the drift band of drift on the
     2-point Gauss nodes."""
-    band = drift_band(mesh, bc, drift(gauss2_points(mesh)))
+    band = drift_band(mesh, bc, drift(mesh.gauss2))
     return assemble_G(mesh, bc, kappa).plus_scaled(band, 1.0)
 
 
@@ -38,6 +39,24 @@ def test_mesh_basics():
     # unknowns: interior nodes under Dirichlet, all nodes under zero-flux
     assert assemble_mass(mesh, BcMode.DIRICHLET).n == 9
     assert assemble_mass(mesh, BcMode.ZERO_FLUX).n == 11
+
+
+@pytest.mark.parametrize("a, b, m", [(0.0, 1.0, 10), (-2.0, 3.5, 7)])
+def test_mesh_quadrature_points(a, b, m):
+    mesh = uniform_mesh(a, b, m)
+    left, right = mesh.nodes[:-1, None], mesh.nodes[1:, None]
+    scaled = lambda r: 0.5 * (left + right) + 0.5 * (right - left) * r
+    # load_x: the 4-point Gauss nodes element by element, then a and b
+    np.testing.assert_allclose(mesh.load_x[:-2].reshape(m, 4),
+                               scaled(np.polynomial.legendre.leggauss(4)[0]), rtol=0, atol=1e-14)
+    assert list(mesh.load_x[-2:]) == [a, b]
+    # gauss2: every element's left 2-point node, then every right one
+    g2 = scaled(np.array([-1.0, 1.0]) / math.sqrt(3.0))
+    np.testing.assert_allclose(mesh.gauss2, g2.T.ravel(), rtol=0, atol=1e-14)
+    # derived from the nodes, read-only, and rebuilt by dataclasses.replace
+    assert not (mesh.gauss2.flags.writeable or mesh.load_x.flags.writeable)
+    wider = replace(mesh, b=b + 1.0, h=(b + 1.0 - a) / m, nodes=np.linspace(a, b + 1.0, m + 1))
+    assert wider.load_x[-1] == b + 1.0 and wider.gauss2[-1] > mesh.gauss2[-1]
 
 
 def test_mass_matrix_entries():

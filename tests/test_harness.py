@@ -143,6 +143,15 @@ def test_run_study_records_failures():
     assert ",error,,,," in text
 
 
+def test_run_study_records_non_integral_steps():
+    # the row keeps the N it was given, and says why it has no errors
+    report = run_study("ex1", [0.7], [1.0], [8.5, 16], elements=20)
+    assert [r.N for r in report.rows] == [8.5, 16]
+    bad, good = report.rows
+    assert bad.error is not None and "N must be a positive integer, got 8.5" in bad.error
+    assert good.error is None and good.eps > 0
+
+
 def test_run_study_empty_steps():
     report = run_study("ex1", [0.5], [2.0], [])
     assert report.rows == [] and report.ok

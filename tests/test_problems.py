@@ -15,7 +15,6 @@ from fracfp import (
     run_study,
     uniform_mesh,
 )
-from fracfp.fem1d import gauss_points
 
 from oracles import (
     frac_integral_oracle,
@@ -105,6 +104,15 @@ def test_flux_rejects_negative_time():
     # the flux cofactor is regular at t = 0: V(x, 0) = u0(x) / Gamma(alpha)
     np.testing.assert_allclose(prob.flux_regular(x, 0.0), -x * prob.u0(x) / math.gamma(0.5),
                                rtol=1e-14)
+
+
+@pytest.mark.parametrize("t", [np.array([np.nan]), np.array([np.inf]), np.array([0.3, np.nan]),
+                               math.inf])
+@pytest.mark.parametrize("fn", ["exact", "flux_regular"])
+def test_series_rejects_non_finite_time(fn, t):
+    # NaN fails t < 0 too, and would otherwise be served as t = 0
+    with pytest.raises(ValueError, match="finite"):
+        getattr(example1(0.7), fn)(np.array([0.2, 0.5]), t)
 
 
 def test_batched_time_matches_scalar_calls():
@@ -338,7 +346,7 @@ def test_streamed_block_is_bounded_off_lattice():
 def _solver_grids(elements):
     """The flux grid and the nodal grid the solver hands a series."""
     mesh = uniform_mesh(0.0, 1.0, elements)
-    return np.append(gauss_points(mesh), [0.0, 1.0]), mesh.nodes
+    return mesh.load_x, mesh.nodes
 
 
 @pytest.mark.parametrize("elements", [2, 7, 200, 2000, 4096])

@@ -17,6 +17,7 @@ from fracfp import (
     assemble_mass,
     assemble_source,
     build_mesh,
+    check_step_assumption,
     example1,
     init_state,
     load_vector,
@@ -254,8 +255,10 @@ def test_blocked_history_matches_direct_sum(bc, N):
 
 
 def test_one_solve_work_counts(monkeypatch):
-    # the plan is built once: K (the only kappa sampling) and the weights in
-    # init_state; each step evaluates the drift once and takes one weight row
+    # the plan is built once: K (the only kappa sampling of a step loop) and
+    # the weights in init_state; each step evaluates the drift once and takes
+    # one weight row.  A whole solve adds one kappa call, the step-size
+    # check's diffusion floor; its drift bound is the steps' own samples
     calls = Counter()
 
     def counted(name, fn):
@@ -279,6 +282,38 @@ def test_one_solve_work_counts(monkeypatch):
     assert at_init == {"assemble_G": 1, "kappa": 1, "drift": 1}
     assert calls == {"assemble_G": 1, "kappa": 1, "drift": N + 1, "row": N}
     assert state.n == N
+    calls.clear()
+    solve(prob, config)
+    assert calls == {"assemble_G": 1, "kappa": 2, "drift": N + 1, "row": N}
+
+
+@pytest.mark.parametrize("bound", ["none", "low", "between", "high"])
+def test_step_size_warning_checks_the_solves_own_samples(bound):
+    # c0 is the largest |F| on gauss2 at t_0..t_N, where the steps sample
+    # the drift, and kmin the smallest kappa on gauss2, where K is built
+    alpha, space, tmesh = 0.6, uniform_mesh(0.0, 1.0, 4), build_mesh(1.0, 64, 1.0)
+    kappa = lambda x: 1.0 + x
+    kmin = float(np.min(kappa(space.gauss2)))
+    # the largest drift bound the condition admits on this mesh
+    lo, hi = 0.0, 10.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if check_step_assumption(tmesh, alpha, mid, kmin) else (lo, mid)
+    # F = s t x peaks at x = 1, a node, and on gauss2 at max(gauss2) < 1;
+    # "between" passes the condition on gauss2 and would fail it on the nodes
+    g = space.gauss2.max()
+    s = {"none": None, "low": 0.5 * lo, "between": lo / math.sqrt(g), "high": 2.0 * lo}[bound]
+    drift = None if s is None else (lambda x, t: s * t * x)
+    prob = make_problem(alpha=alpha, kappa=kappa, drift=drift, u0=lambda x: x * (1.0 - x))
+    c0 = 0.0 if s is None else max(np.abs(drift(space.gauss2, t)).max() for t in tmesh.nodes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(prob, SolverConfig(alpha=alpha, mesh=tmesh, spatial=space))
+    warned = any("time mesh violates" in str(w.message) for w in caught)
+    assert warned == (not check_step_assumption(tmesh, alpha, c0, kmin))
+    assert warned == (bound == "high")
+    if bound == "between":
+        assert not check_step_assumption(tmesh, alpha, s, kmin)
 
 
 def test_dirichlet_trajectory_keeps_projected_start():

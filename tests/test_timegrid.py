@@ -33,6 +33,17 @@ def test_validation_errors():
         build_mesh(1.0, 8, 0.5)
 
 
+@pytest.mark.parametrize("N", [1.0, 8.5, True, "8"])
+def test_step_count_must_be_integral(N):
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        build_mesh(1.0, N, 3.0)
+
+
+def test_step_count_accepts_numpy_integers():
+    mesh = build_mesh(1.0, np.int64(8), 2.0)
+    assert mesh.N == 8 and type(mesh.N) is int and mesh.nodes.size == 9
+
+
 @pytest.mark.parametrize("T,gamma", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)])
 def test_non_finite_input_rejected(T, gamma):
     # NaN compares false both ways, so only an explicit finiteness check
