@@ -57,7 +57,9 @@ class SpatialMesh:
     the read-only points its integrals are sampled on, built with it: gauss2,
     the 2-point Gauss nodes of assemble_G and drift_band (every element's
     left node, then every right node), and load_x, the 4-point Gauss nodes
-    of the loads element by element, then a and b for a flux's end terms."""
+    of the loads element by element, then a and b for a flux's end terms.
+    Fields that disagree raise ValueError: nodes must be M_x + 1 points from
+    a to b, and h must be (b - a)/M_x to rounding."""
 
     a: float
     b: float
@@ -68,6 +70,11 @@ class SpatialMesh:
     load_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        nodes = np.asarray(self.nodes)
+        if not (self.M_x >= 1 and nodes.shape == (self.M_x + 1,) and nodes[0] == self.a
+                and nodes[-1] == self.b and math.isclose(self.h, (self.b - self.a) / self.M_x, rel_tol=1e-12)):
+            raise ValueError(f"{nodes.size} nodes and h = {self.h} do not make "
+                             f"M_x = {self.M_x} elements on [{self.a}, {self.b}]")
         xm, half = 0.5 * (self.nodes[:-1] + self.nodes[1:]), 0.5 * self.h
         object.__setattr__(self, "gauss2", np.ravel(xm + half * np.array([[-_G2], [_G2]])))
         object.__setattr__(self, "load_x", np.append(xm[:, None] + half * _GL4_X, [self.a, self.b]))

@@ -16,9 +16,10 @@ strongly graded meshes, so the evaluator picks the truncation M and the
 tail-correction orders per call from analytic bounds (see _choose_mk) that
 keep everything dropped below _TAIL_TOL = 1e-9 absolute.  Each evaluation
 then does one Mittag-Leffler call and one mode sum, whose weight rows are the
-time levels followed by the correction terms; the corrections are the gaps
-between the closed forms P_k of the damped sums (SineSeries.eval_P) and
-their partial sums, added to the time rows as one (times x terms) product.
+time rows (or rows folded over time, see _SeriesFlux) followed by the
+correction terms; the corrections are the gaps between the closed forms P_k
+of the damped sums (SineSeries.eval_P) and their partial sums, added to
+those rows as one product.
 Modes past a grid's sine rows go by FFT on lattice grids, such as every grid
 the solver builds (see _mode_sum).  alpha = 1 makes both series exponentials.
 
@@ -332,52 +333,51 @@ def _choose_mk(series: SineSeries, beta: float, t: float):
     return m_fin, kept
 
 
-def _shape(vals: np.ndarray, arr: np.ndarray):
-    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
-
-
-def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t):
+def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, fold=None):
     """Evaluate the u / V series of one SineSeries on a grid's points.
 
     kind "u" pairs sin modes with E_{alpha,1}; "v" uses E_{alpha,alpha}.
     t may be a scalar or a 1-D array; batching times shares the trig mode
     matrices, and the truncation is chosen at the smallest positive t (its
     bounds only improve with t).  Result shape is t.shape + grid.x.shape.
+    A (rows x times) matrix fold gives fold @ (those rows) instead, shape
+    (rows,) + grid.x.shape, folded into the mode weights and corrections, so
+    the mode sum carries rows + len(terms) rows however many times there are.
     """
-    tarr = np.asarray(t, dtype=float)
-    ts = np.atleast_1d(tarr)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all((ts >= 0.0) & (ts < math.inf)):
         raise ValueError("series evaluation requires finite t >= 0")
+    weights = np.eye(ts.size) if fold is None else np.asarray(fold, dtype=float)
+    rows = weights.shape[0]
 
     alpha = series.alpha
     beta = 1.0 if kind == "u" else alpha
     rgs = series.consts[beta][1]
 
-    out = np.empty((ts.size, grid.flat.size))
     pos = ts > 0.0
-    if not pos.all():
-        # E(0) = 1/Gamma(beta) = rgs[0] mode-independently, so P_0 applies
-        out[~pos] = grid.P[0] * rgs[0]
+    out = np.zeros((rows, grid.flat.size))
     if pos.any():
-        tp = ts[pos]
+        tp, wp = ts[pos], weights[:, pos]
         M, terms = _choose_mk(series, beta, float(tp.min()))
         m = np.arange(M + 1)
         lam = (2.0 * m + 1.0) * math.pi
         c = series.coeffs(m)
         z = np.outer(tp**alpha, lam * lam)
         E = np.asarray(mittag_leffler(alpha, beta, -z.ravel())).reshape(z.shape)
-        # time rows c E, then one row c lam**(-2k) per correction term
-        sums = _mode_sum(grid, np.vstack([c * E] + [c * lam ** (-2.0 * k) for k in terms]))
-        head = sums[: tp.size]
-        if terms:
-            # term k adds (-1)^(k+1) rgamma(beta - alpha k) t**(-alpha k) (P_k - partial)
-            sign_rg = np.array([rgs[k] if k % 2 == 1 else -rgs[k] for k in terms])
-            gaps = grid.P[terms] - sums[tp.size:]
-            head += (sign_rg * tp[:, None] ** (-alpha * np.array(terms))) @ gaps
-        out[pos] = head
-    if tarr.ndim == 0:
-        return _shape(out[0], grid.x)
-    return out.reshape(tarr.shape + grid.x.shape)
+        # folded time rows of c E, then one row c lam**(-2k) per correction term
+        sums = _mode_sum(grid, np.vstack([wp @ (c * E)] + [c * lam ** (-2.0 * k) for k in terms]))
+        # term k adds (-1)^(k+1) rgamma(beta - alpha k) t**(-alpha k) (P_k - partial):
+        # its partial-sum row becomes partial - P_k in place, and is subtracted
+        sign_rg = np.array([rgs[k] if k % 2 == 1 else -rgs[k] for k in terms])
+        for row, k in enumerate(terms, start=rows):
+            sums[row] -= grid.P[k]
+        out = sums[:rows]
+        out -= (wp @ (sign_rg * tp[:, None] ** (-alpha * np.array(terms)))) @ sums[rows:]
+    if not pos.all():
+        # E(0) = 1/Gamma(beta) = rgs[0] mode-independently, so P_0 applies
+        out += np.multiply.outer(weights[:, ~pos].sum(axis=1) * rgs[0], grid.P[0])
+    shape = (np.shape(t) if fold is None else (rows,)) + grid.x.shape
+    return float(out[0, 0]) if shape == () else out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,8 @@ class ProblemSpec:
     the source, which the stepper assembles as -<g, phi'> + [g phi] without
     differentiating g.  f_regular, flux_regular and exact take the points x
     and a 1-D array of times t and return an array of shape t.shape +
-    x.shape; f takes one time.
+    x.shape; f takes one time.  A source part with a time_fold(x, t, w)
+    method, sum_q w_q part(x, t_q), is folded by it in assemble_source.
     exact, u0_prime, f, f_regular, flux_regular may be None, but f and
     f_regular not both.  Inconsistent inputs are rejected here: alpha outside
     (0, 1], a T that is not positive and finite, an empty domain or one
@@ -439,6 +440,27 @@ class ProblemSpec:
             raise ValueError(f"temporal exponent rho = {self.rho} is not integrable")
 
 
+class _SeriesFlux:
+    """flux_regular (sin t - x) V of a series problem, whose x-derivative is
+    f_regular = (sin t - x) V_x - V.  time_fold(x, t, w) = sum_q w_q (sin t_q
+    - x) V(x, t_q) is B - x A, A and B one evaluation of V folded by the rows
+    w and w sin t; as a method, functools.wraps copies it to no wrapper."""
+
+    def __init__(self, series: SineSeries, grids: list):
+        self.series, self.grids = series, grids
+
+    def __call__(self, x, t):
+        grid = _find_grid(self.grids, x, self.series)
+        v = _eval_structured(self.series, "v", grid, t)  # rejects bad t before sin sees it
+        return (np.sin(t).reshape(np.shape(t) + (1,) * grid.x.ndim) - grid.x) * v
+
+    def time_fold(self, x, t, w):
+        grid = _find_grid(self.grids, x, self.series)
+        A, B = _eval_structured(self.series, "v", grid, t, np.vstack([w, w * np.sin(t)]))
+        B -= grid.x * A
+        return B
+
+
 def _series_problem(name: str, series: SineSeries, default_projection: str) -> ProblemSpec:
     """The problem whose exact solution is series' u, at the series' alpha."""
     alpha = series.alpha
@@ -446,13 +468,6 @@ def _series_problem(name: str, series: SineSeries, default_projection: str) -> P
 
     def exact(x, t):
         return _eval_structured(series, "u", _find_grid(grids, x, series), t)
-
-    def flux_regular(x, t):
-        # f_regular = (sin t - x) V_x - V is the x-derivative of this flux
-        grid = _find_grid(grids, x, series)
-        v = _eval_structured(series, "v", grid, t)
-        tt = np.asarray(t, dtype=float)
-        return (np.sin(tt).reshape(tt.shape + (1,) * grid.x.ndim) - grid.x) * v
 
     return ProblemSpec(
         name=name,
@@ -469,7 +484,7 @@ def _series_problem(name: str, series: SineSeries, default_projection: str) -> P
         exact=exact,
         bc=BcMode.DIRICHLET,
         default_projection=default_projection,
-        flux_regular=flux_regular,
+        flux_regular=_SeriesFlux(series, grids),
     )
 
 

@@ -126,18 +126,17 @@ def _dofs(bc: BcMode) -> slice:
 def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
     """Full nodal vector with components int_{I_n} <f, phi_p> dt.
 
-    The source is f = t**rho (f_regular + d/dx flux_regular), with f_regular
-    and flux_regular smooth (problems declare rho; 0 means none); a problem
-    without f_regular may give the pointwise f, singular factor included.
-    The flux part is assembled as -<g, phi_p'> + [g phi_p]_a^b, so it needs g
-    only, never its derivative; g is evaluated once per interval, on
-    spatial.load_x (the Gauss points, then the two endpoints), in one
-    batched call over the time nodes; f and f_regular on the Gauss points
-    only.  Under Dirichlet conditions to_dof drops the boundary rows,
-    endpoint terms included.  The time rule is 8-point Gauss in the
-    substituted variable s = t**(rho+1); space uses 4-point Gauss per
-    element.  Relative accuracy on the built-in manufactured sources is
-    validated against adaptive quadrature in the tests.  ProblemSpec
+    The source is f = t**rho (f_regular + d/dx flux_regular), with smooth
+    f_regular and flux_regular (problems declare rho; 0 means none), or the
+    pointwise f, singular factor included.  The flux part is assembled as
+    -<g, phi_p'> + [g phi_p]_a^b, so g is never differentiated; it is sampled
+    on spatial.load_x (the Gauss points, then a and b), f and f_regular on
+    the Gauss points.  The time rule, 8-point Gauss in s = t**(rho+1), is
+    folded in one place: by a part's own time_fold method (the series
+    fluxes: one evaluation per interval), else after one batched call (f:
+    one call per time node).  Space uses 4-point Gauss per element; under
+    Dirichlet conditions to_dof drops the boundary rows, end terms included.
+    The tests check the result against adaptive quadrature.  ProblemSpec
     rejects rho <= -1 (non-integrable) when it is built.
     """
     if all(fn is None for fn in (problem.f, problem.f_regular, problem.flux_regular)):
@@ -154,19 +153,19 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
     svals = 0.5 * (s0 + s1) + shalf * _GL8_X
     tvals = svals ** (1.0 / q)
 
-    def fold(fn, x):
-        # one batched call over all time nodes; series-backed sources share
-        # their trig mode matrices across the batch
-        return np.tensordot(_GL8_W, np.asarray(fn(x, tvals), dtype=float), axes=(0, 0))
+    def fold(fn, x, w=_GL8_W):
+        # sum_q w_q fn(x, t_q); a series flux folds w into its own evaluation
+        if hasattr(fn, "time_fold"):
+            return fn.time_fold(x, tvals, w)
+        return np.tensordot(w, np.asarray(fn(x, tvals), dtype=float), axes=(0, 0))
 
     quad_x = spatial.load_x[:-2]
     values = flux = ends = None
     if problem.f_regular is not None:
         values = fold(problem.f_regular, quad_x)
-    elif problem.f is not None:
-        values = np.zeros_like(quad_x)
-        for wq, tv in zip(_GL8_W, tvals):
-            values += wq * tv ** (-rho) * np.asarray(problem.f(quad_x, tv), dtype=float)
+    elif problem.f is not None:  # one time per call, t**rho included
+        values = fold(lambda x, ts: [np.broadcast_to(problem.f(x, tv), x.shape) for tv in ts],
+                      quad_x, _GL8_W * tvals ** (-rho))
     if problem.flux_regular is not None:
         g = fold(problem.flux_regular, spatial.load_x)
         flux, ends = g[:-2], g[-2:]

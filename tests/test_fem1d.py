@@ -238,6 +238,15 @@ def test_mesh_validation():
         uniform_mesh(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("change", [{"b": 2.0}, {"M_x": 20}, {"h": 0.2}, {"a": 0.5}],
+                         ids=["b", "M_x", "h", "a"])
+def test_mesh_rejects_fields_that_disagree(change):
+    # replacing one field leaves the nodes (and the quadrature points derived
+    # from them) describing another mesh
+    with pytest.raises(ValueError, match="do not make"):
+        replace(uniform_mesh(0.0, 1.0, 10), **change)
+
+
 @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0)])
 def test_mesh_rejects_infinite_domain(a, b):
     with pytest.raises(ValueError, match="finite"):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from collections import Counter
@@ -19,6 +20,7 @@ from fracfp import (
     build_mesh,
     check_step_assumption,
     example1,
+    example2,
     init_state,
     load_vector,
     project_initial,
@@ -28,7 +30,8 @@ from fracfp import (
     uniform_mesh,
 )
 
-from fracfp import stepper
+from fracfp import problems, stepper
+from fracfp.fem1d import load_from_values
 from fracfp.stepper import _BLOCK
 from oracles import cn_reference, direct_l1_solve, source_integral_oracle, source_integral_singular
 
@@ -176,6 +179,91 @@ def test_flux_source_mass_balance_zero_flux():
     # int_0^t s^(-1/2) (1 + s) ds
     t = tmesh.nodes
     np.testing.assert_allclose(gained, 2.0 * t ** 0.5 + (2.0 / 3.0) * t ** 1.5, atol=1e-12)
+
+
+# ------------------------------------------------ the series source's time fold
+
+def _gauss_times(interval, q):
+    """assemble_source's 8 Gauss times and weights in s = t**q, and the
+    factor that maps the rule back to t."""
+    s0, s1 = interval[0] ** q, interval[1] ** q
+    x, w = np.polynomial.legendre.leggauss(8)
+    return (0.5 * (s0 + s1) + 0.5 * (s1 - s0) * x) ** (1.0 / q), w, 0.5 * (s1 - s0) / q
+
+
+@pytest.mark.parametrize("exact", ["own", "replaced"])
+def test_series_source_is_one_folded_evaluation(monkeypatch, exact):
+    # the 8 Gauss times fold into the two weight rows w and w sin t before
+    # the mode sum, also after dataclasses.replace of exact; evaluated per
+    # time, the sum would carry 8 + len(terms) rows
+    calls = {"mittag_leffler": [], "_mode_sum": [], "_choose_mk": []}
+
+    def counted(name, fn):
+        def wrap(*args):
+            calls[name].append(args)
+            out = fn(*args)
+            calls[name][-1] += (out,)
+            return out
+        return wrap
+
+    for name in calls:
+        monkeypatch.setattr(problems, name, counted(name, getattr(problems, name)))
+    prob = example1(0.7)
+    if exact == "replaced":
+        prob = replace(prob, exact=lambda x, t, own=prob.exact: own(x, t))
+    nodes = build_mesh(1.0, 64, 1.6).nodes
+    for n in (1, 2, 20):
+        for got in calls.values():
+            got.clear()
+        assemble_source(prob, uniform_mesh(0.0, 1.0, 200), (nodes[n - 1], nodes[n]))
+        assert [len(got) for got in calls.values()] == [1, 1, 1]
+        M, terms = calls["_choose_mk"][0][-1]
+        assert calls["_mode_sum"][0][1].shape == (2 + len(terms), M + 1)
+        assert calls["mittag_leffler"][0][2].size == 8 * (M + 1)
+        assert n == 1 or terms  # the corrections fold too
+
+
+@pytest.mark.parametrize("make, alpha, gamma", [(example1, 0.7, 1.6), (example2, 0.4, 5.0)])
+@pytest.mark.parametrize("n", [1, 2, 60])
+def test_series_source_fold_matches_folding_the_time_rows(monkeypatch, make, alpha, gamma, n):
+    # the folded load against the load of the 8 time rows of flux_regular
+    # folded afterwards; at n = 1 (and n = 2 for ex2) the mode sums run past
+    # the grid's sine rows into the lattice FFT
+    prob = make(alpha)
+    space = uniform_mesh(0.0, 1.0, 2000)
+    interval = tuple(build_mesh(1.0, 64, gamma).nodes[n - 1:n + 1])
+    tvals, w, scale = _gauss_times(interval, prob.rho + 1.0)
+    g = np.tensordot(w, prob.flux_regular(space.load_x, tvals), axes=(0, 0))
+    want = load_from_values(space, None, g[:-2], g[-2:]) * scale
+    truncations = []
+    choose = problems._choose_mk
+
+    def recorded(*args):
+        truncations.append(choose(*args))
+        return truncations[-1]
+
+    monkeypatch.setattr(problems, "_choose_mk", recorded)
+    got = assemble_source(prob, space, interval)
+    assert (truncations[0][0] > problems._ROW_CAP) == (n == 1 or (n == 2 and make is example2))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.abs(want).max())
+
+
+def test_replaced_flux_is_assembled_from_the_replacement():
+    prob = example1(0.7)
+    space = uniform_mesh(0.0, 1.0, 200)
+    interval = (0.1, 0.2)
+    # a wrapper built with functools.wraps shares the series flux's
+    # attributes, but its values are its own
+    doubled = functools.wraps(prob.flux_regular)(lambda x, t: 2.0 * prob.flux_regular(x, t))
+    got = assemble_source(replace(prob, flux_regular=doubled), space, interval)
+    want = 2.0 * assemble_source(prob, space, interval)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.abs(want).max())
+    # a flux unrelated to the series: int t**(alpha-1) dt times the load of g'
+    cubic = lambda x: 1.0 + 2.0 * x - 3.0 * x ** 2 + 0.5 * x ** 3
+    plain = lambda x, t: np.outer(np.ones_like(t), cubic(x))
+    got = assemble_source(replace(prob, flux_regular=plain), space, interval)
+    want = (0.2 ** 0.7 - 0.1 ** 0.7) / 0.7 * load_vector(lambda x: 2.0 - 6.0 * x + 1.5 * x ** 2, space)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def test_nonfinite_state_names_step():
