@@ -24,6 +24,7 @@ __all__ = [
     "uniform_mesh",
     "assemble_mass",
     "assemble_G",
+    "dof_slice",
     "drift_band",
     "l2_norm",
     "load_from_values",
@@ -53,41 +54,39 @@ class SingularSystemError(Exception):
 
 @dataclass(frozen=True)
 class SpatialMesh:
-    """Uniform mesh of M_x elements on [a, b] with nodes x_p = a + p h, and
-    the read-only points its integrals are sampled on, built with it: gauss2,
+    """Uniform mesh of M_x elements on [a, b], built from (a, b, M_x), which
+    it compares and hashes by.  Derived here, read-only, and rebuilt by
+    dataclasses.replace: h = (b - a)/M_x, the nodes x_p = a + p h, gauss2,
     the 2-point Gauss nodes of assemble_G and drift_band (every element's
     left node, then every right node), and load_x, the 4-point Gauss nodes
-    of the loads element by element, then a and b for a flux's end terms.
-    Fields that disagree raise ValueError: nodes must be M_x + 1 points from
-    a to b, and h must be (b - a)/M_x to rounding."""
+    of the loads element by element, then a and b for a flux's end terms."""
 
     a: float
     b: float
     M_x: int
-    h: float
-    nodes: np.ndarray
+    h: float = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
     gauss2: np.ndarray = field(init=False, repr=False, compare=False)
     load_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes)
-        if not (self.M_x >= 1 and nodes.shape == (self.M_x + 1,) and nodes[0] == self.a
-                and nodes[-1] == self.b and math.isclose(self.h, (self.b - self.a) / self.M_x, rel_tol=1e-12)):
-            raise ValueError(f"{nodes.size} nodes and h = {self.h} do not make "
-                             f"M_x = {self.M_x} elements on [{self.a}, {self.b}]")
-        xm, half = 0.5 * (self.nodes[:-1] + self.nodes[1:]), 0.5 * self.h
-        object.__setattr__(self, "gauss2", np.ravel(xm + half * np.array([[-_G2], [_G2]])))
-        object.__setattr__(self, "load_x", np.append(xm[:, None] + half * _GL4_X, [self.a, self.b]))
-        self.gauss2.flags.writeable = self.load_x.flags.writeable = False
+        a, b, m = self.a, self.b, self.M_x
+        if not (math.isfinite(a) and math.isfinite(b) and b > a):
+            raise ValueError(f"need finite b > a, got [{a}, {b}]")
+        if m < 2:
+            raise ValueError(f"need at least 2 elements, got {m}")
+        h, nodes = (b - a) / m, np.linspace(a, b, m + 1)
+        xm, half = 0.5 * (nodes[:-1] + nodes[1:]), 0.5 * h
+        gauss2 = np.ravel(xm + half * np.array([[-_G2], [_G2]]))
+        load_x = np.append(xm[:, None] + half * _GL4_X, [a, b])
+        nodes.flags.writeable = gauss2.flags.writeable = load_x.flags.writeable = False
+        for name, value in (("h", h), ("nodes", nodes), ("gauss2", gauss2), ("load_x", load_x)):
+            object.__setattr__(self, name, value)
 
 
 def uniform_mesh(a: float, b: float, m: int) -> SpatialMesh:
-    if not (math.isfinite(a) and math.isfinite(b) and b > a):
-        raise ValueError(f"need finite b > a, got [{a}, {b}]")
-    if m < 2:
-        raise ValueError(f"need at least 2 elements, got {m}")
-    nodes = np.linspace(a, b, m + 1)
-    return SpatialMesh(a=a, b=b, M_x=m, h=(b - a) / m, nodes=nodes)
+    """The mesh of m elements on [a, b]; SpatialMesh(a, b, m)."""
+    return SpatialMesh(a, b, m)
 
 
 @dataclass(frozen=True)
@@ -117,25 +116,28 @@ class TriDiagMatrix:
         )
 
 
+def dof_slice(bc: BcMode) -> slice:
+    """Entries of a full nodal vector that hold the unknowns: Dirichlet
+    conditions drop one node at each end, zero flux keeps every node."""
+    return slice(1, -1) if bc is BcMode.DIRICHLET else slice(0, None)
+
+
 def _restrict(full: TriDiagMatrix, bc: BcMode) -> TriDiagMatrix:
-    # Dirichlet drops the first and last row and column
-    if bc is BcMode.DIRICHLET:
-        return TriDiagMatrix(full.sub[1:-1], full.diag[1:-1], full.sup[1:-1])
-    return full
+    s = dof_slice(bc)
+    return TriDiagMatrix(full.sub[s], full.diag[s], full.sup[s])
 
 
 def to_dof(v_full: np.ndarray, bc: BcMode) -> np.ndarray:
     """Full nodal vector -> unknown vector."""
-    return v_full[1:-1].copy() if bc is BcMode.DIRICHLET else v_full.copy()
+    return v_full[dof_slice(bc)].copy()
 
 
 def to_full(v_dof: np.ndarray, bc: BcMode) -> np.ndarray:
     """Unknown vector -> full nodal vector (Dirichlet boundary entries zero)."""
-    if bc is BcMode.DIRICHLET:
-        out = np.zeros(v_dof.size + 2)
-        out[1:-1] = v_dof
-        return out
-    return v_dof.copy()
+    s = dof_slice(bc)
+    out = np.zeros(v_dof.size + 2 * s.start)
+    out[s] = v_dof
+    return out
 
 
 def assemble_mass(mesh: SpatialMesh, bc: BcMode) -> TriDiagMatrix:
@@ -239,16 +241,15 @@ def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
     4-point Gauss load vector; "ritz" solves the kappa-weighted stiffness
     system (Dirichlet only; needs kappa and u0_prime).
     """
-    kind = mode.lower()
-    if kind == "nodal":
+    if mode == "nodal":
         return _eval_on(u0, mesh.nodes).copy()
 
-    if kind == "l2":
+    if mode == "l2":
         rhs = load_vector(u0, mesh)
         mass = assemble_mass(mesh, bc)
         return to_full(thomas_solve(mass, to_dof(rhs, bc)), bc)
 
-    if kind == "ritz":
+    if mode == "ritz":
         if kappa is None:
             raise ValueError("ritz projection needs the diffusion coefficient kappa")
         if bc is not BcMode.DIRICHLET:

@@ -1,6 +1,6 @@
 """L1 time stepping on a graded mesh for the fractional Fokker-Planck system.
 
-init_state builds what every step reads once per solve (_Plan).  Per step:
+init_state builds what every step reads once per solve.  Per step:
 add the drift band of the midpoint-averaged drift to the kappa stiffness,
 form S^n = M + (tau_n^alpha/Gamma(alpha+2)) G^n, accumulate the
 convolution history of increments, solve the tridiagonal system, advance.
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem1d import (
-    BcMode,
     SpatialMesh,
     TriDiagMatrix,
     assemble_G,
     assemble_mass,
+    dof_slice,
     drift_band,
     load_from_values,
     project_initial,
@@ -84,22 +84,14 @@ class Trajectory:
             raise ValueError("nodal vectors do not match the spatial mesh")
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """What every step of one solve reads: the mass matrix, the kappa
-    stiffness K and the weights."""
-
-    mass: TriDiagMatrix
-    K: TriDiagMatrix
-    cw: ConvolutionWeights
-
-
 @dataclass
 class SolverState:
-    """Mutable per-solve state: completed step count, increments, current
-    solution at the unknowns, the per-solve plan, the drift at t_n on
-    SpatialMesh.gauss2 (None without drift), and the open history block.  The
-    boundary condition is read from the problem.
+    """Mutable per-solve state: completed step count, current solution at
+    the unknowns (updated in place), increments, the mass matrix, kappa
+    stiffness K and weights that init_state builds for every step, the drift
+    at t_n on SpatialMesh.gauss2 (None without drift), and the open history
+    block (None before the first step).  The boundary condition is read from
+    the problem.
 
     W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
     nodal U^0 and row n the increment W^n = U^n - U^(n-1) at the unknowns
@@ -112,15 +104,12 @@ class SolverState:
     n: int
     U_dof: np.ndarray
     W: np.ndarray
-    _plan: _Plan
+    _mass: TriDiagMatrix
+    _K: TriDiagMatrix
+    _cw: ConvolutionWeights
     _drift: object
-    _hist_old: np.ndarray
-    _hist_tail: np.ndarray
-
-
-def _dofs(bc: BcMode) -> slice:
-    """Columns of a full nodal vector that hold the unknowns."""
-    return slice(1, -1) if bc is BcMode.DIRICHLET else slice(None)
+    _hist_old: np.ndarray = None
+    _hist_tail: np.ndarray = None
 
 
 def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
@@ -173,8 +162,8 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
 
 
 def init_state(problem, config: SolverConfig) -> SolverState:
-    """Project the initial datum, build the per-solve plan (kappa is
-    sampled here only, and must be positive) and evaluate the drift at t_0.
+    """Project the initial datum, build what every step reads (kappa must
+    be positive where K samples it) and evaluate the drift at t_0.
 
     Raises ValueError when config.alpha and problem.alpha differ (the scheme
     and the problem's source and exact solution must share one order), or
@@ -194,17 +183,14 @@ def init_state(problem, config: SolverConfig) -> SolverState:
                               kappa=problem.kappa, u0_prime=problem.u0_prime)
     W = np.zeros((config.mesh.N + 1, space.M_x + 1))
     W[0] = U0_full
-    U_dof = to_dof(U0_full, bc)
-    plan = _Plan(mass=assemble_mass(space, bc), K=assemble_G(space, bc, problem.kappa),
-                 cw=ConvolutionWeights(config.mesh, config.alpha))
     return SolverState(
         n=0,
-        U_dof=U_dof,
+        U_dof=to_dof(U0_full, bc),
         W=W,
-        _plan=plan,
+        _mass=assemble_mass(space, bc),
+        _K=assemble_G(space, bc, problem.kappa),
+        _cw=ConvolutionWeights(config.mesh, config.alpha),
         _drift=None if problem.drift is None else problem.drift(space.gauss2, config.mesh.nodes[0]),
-        _hist_old=np.empty((0, U_dof.size)),
-        _hist_tail=np.empty((0, 0)),
     )
 
 
@@ -215,7 +201,7 @@ def _open_block(state: SolverState, tmesh: GradedMesh, W: np.ndarray, s: int) ->
     ms = range(s, min(s + _BLOCK, tmesh.N + 1))
     coeff = np.zeros((len(ms), s - 1 + len(ms)))
     for i, m in enumerate(ms):
-        coeff[i, : m - 1] = state._plan.cw.row(m) / tmesh.steps[: m - 1]
+        coeff[i, : m - 1] = state._cw.row(m) / tmesh.steps[: m - 1]
     state._hist_old = coeff[:, : s - 1] @ W[1:s]
     state._hist_tail = coeff[:, s - 1 :]
 
@@ -244,28 +230,27 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     t0, t1 = tmesh.nodes[n - 1], tmesh.nodes[n]
 
     bc = problem.bc
-    plan = state._plan
-    G, F, drift = plan.K, problem.drift, None
+    G, F, drift = state._K, problem.drift, None
     if F is not None:
         drift = F(config.spatial.gauss2, t1)
         G = G.plus_scaled(drift_band(config.spatial, bc, 0.5 * (state._drift + drift)), 1.0)
-    S = plan.mass.plus_scaled(G, plan.cw.d(n))
+    S = state._mass.plus_scaled(G, state._cw.d(n))
 
     fvec = to_dof(assemble_source(problem, config.spatial, (t0, t1)), bc)
 
-    W = state.W[:, _dofs(bc)]
+    W = state.W[:, dof_slice(bc)]
     s = n - (n - 1) % _BLOCK
     if s == n:
         _open_block(state, tmesh, W, s)
     i = n - s
-    hist = plan.cw.w0(n) * W[0] + (
+    hist = state._cw.w0(n) * W[0] + (
         state._hist_old[i] + state._hist_tail[i, :i] @ W[s:n])
 
     Wn = thomas_solve(S, fvec - G.matvec(hist))
     if not np.isfinite(Wn).all():
         raise FloatingPointError(f"non-finite solution at step n = {n}, t_n = {t1:.6g}")
     W[n] = Wn
-    state.U_dof = state.U_dof + Wn
+    state.U_dof += Wn
     state._drift = drift
     state.n = n
     return state
@@ -299,7 +284,7 @@ def solve(problem, config: SolverConfig) -> Trajectory:
         )
     # U^n = U^0 + W^1 + ... + W^n, added in step order; row 0 (full U^0) and
     # the Dirichlet boundary columns (zero for n >= 1) are left as they are
-    W = state.W[:, _dofs(problem.bc)]
+    W = state.W[:, dof_slice(problem.bc)]
     np.cumsum(W, axis=0, out=W)
     return Trajectory(times=config.mesh.nodes.copy(), values=state.W,
                       spatial=config.spatial)

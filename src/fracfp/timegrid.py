@@ -3,47 +3,51 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class GradedMesh:
-    """Time mesh t_i = (i * tau)**gamma with tau = T**(1/gamma) / N.
+    """Time mesh t_i = (i * tau)**gamma with tau = T**(1/gamma) / N, built
+    from (T, N, gamma), which it compares and hashes by.
 
     gamma = 1 gives a uniform mesh; larger gamma compresses steps toward
     the origin, where solutions of fractional-order problems are rough.
+    The read-only nodes (t_0 = 0 to t_N = T, in closed form rather than
+    multiplicatively, so no drift accumulates for large N) and steps are
+    derived here, and dataclasses.replace rebuilds them.
     """
 
     T: float
     N: int
     gamma: float
-    nodes: np.ndarray   # shape (N+1,), nodes[0] = 0, nodes[N] = T
-    steps: np.ndarray   # shape (N,), steps[i] = nodes[i+1] - nodes[i]
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be positive and finite, got {self.T}")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) or self.N < 1:
+            raise ValueError(f"N must be a positive integer, got {self.N!r}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise ValueError(f"gamma must be finite and >= 1, got {self.gamma}")
+        T, N, gamma = float(self.T), int(self.N), float(self.gamma)
+        tau = T ** (1.0 / gamma) / N
+        nodes = (np.arange(N + 1, dtype=float) * tau) ** gamma
+        nodes[N] = T  # closed form is exact up to roundoff; pin the endpoint
+        steps = np.diff(nodes)
+        if not np.all(steps > 0):
+            raise ValueError("mesh nodes are not strictly increasing")
+        nodes.flags.writeable = steps.flags.writeable = False
+        for name, value in (("T", T), ("N", N), ("gamma", gamma), ("nodes", nodes), ("steps", steps)):
+            object.__setattr__(self, name, value)
 
 
 def build_mesh(T: float, N: int, gamma: float) -> GradedMesh:
-    """Build the graded mesh with nodes t_i = (i*tau)**gamma, tau = T**(1/gamma)/N.
-
-    Nodes are computed in closed form rather than multiplicatively so that
-    no drift accumulates for large N.
-    """
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    if not (math.isfinite(gamma) and gamma >= 1.0):
-        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
-    tau = T ** (1.0 / gamma) / N
-    i = np.arange(N + 1, dtype=float)
-    nodes = (i * tau) ** gamma
-    nodes[0] = 0.0
-    nodes[N] = T  # closed form is exact up to roundoff; pin the endpoint
-    steps = np.diff(nodes)
-    if not np.all(steps > 0):
-        raise ValueError("mesh nodes are not strictly increasing")
-    return GradedMesh(T=float(T), N=int(N), gamma=float(gamma), nodes=nodes, steps=steps)
+    """GradedMesh(T, N, gamma): nodes t_i = (i*tau)**gamma, tau = T**(1/gamma)/N."""
+    return GradedMesh(T, N, gamma)
 
 
 def check_step_assumption(

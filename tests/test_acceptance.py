@@ -193,6 +193,18 @@ def test_second_order_for_small_alpha():
           + "; gamma=2 rates " + ", ".join(f"{r.eps_rate:.3f}/{r.weps_rate:.3f}" for r in mild))
 
 
+@pytest.mark.xfail(strict=True, reason="the near L1 weights cancel once tau_j falls below the "
+                   "rounding of t_n, and the rates go negative; the fix waits for a re-recorded "
+                   "benchmark reference (ROADMAP item 1)")
+def test_second_order_on_a_strongly_graded_mesh():
+    # the solve-level face of the weight cancellation pinned in test_kernels:
+    # at alpha = 0.2, gamma = 7 the rate law min(1.25 alpha gamma, 2) is 1.75
+    report = run_study("ex1", [0.2], [7.0], [64, 128, 256], elements=2000)
+    assert report.ok
+    rates = [report.find(0.2, 7.0, n).eps_rate for n in (64, 128)]
+    assert all(r >= 1.7 for r in rates), rates
+
+
 def test_criterion_04_grading_monotonicity_and_error_profile():
     gammas = [1.0, 2.0, 3.0, 4.0]
     report = run_study("ex1", [0.6], gammas, [128], keep_traces=True)

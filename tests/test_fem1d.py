@@ -7,9 +7,11 @@ import pytest
 from fracfp import (
     BcMode,
     SingularSystemError,
+    SpatialMesh,
     TriDiagMatrix,
     assemble_G,
     assemble_mass,
+    example1,
     l2_norm,
     load_vector,
     project_initial,
@@ -55,7 +57,7 @@ def test_mesh_quadrature_points(a, b, m):
     np.testing.assert_allclose(mesh.gauss2, g2.T.ravel(), rtol=0, atol=1e-14)
     # derived from the nodes, read-only, and rebuilt by dataclasses.replace
     assert not (mesh.gauss2.flags.writeable or mesh.load_x.flags.writeable)
-    wider = replace(mesh, b=b + 1.0, h=(b + 1.0 - a) / m, nodes=np.linspace(a, b + 1.0, m + 1))
+    wider = replace(mesh, b=b + 1.0)
     assert wider.load_x[-1] == b + 1.0 and wider.gauss2[-1] > mesh.gauss2[-1]
 
 
@@ -238,13 +240,41 @@ def test_mesh_validation():
         uniform_mesh(0.0, 1.0, 1)
 
 
-@pytest.mark.parametrize("change", [{"b": 2.0}, {"M_x": 20}, {"h": 0.2}, {"a": 0.5}],
-                         ids=["b", "M_x", "h", "a"])
-def test_mesh_rejects_fields_that_disagree(change):
-    # replacing one field leaves the nodes (and the quadrature points derived
-    # from them) describing another mesh
-    with pytest.raises(ValueError, match="do not make"):
-        replace(uniform_mesh(0.0, 1.0, 10), **change)
+@pytest.mark.parametrize("change", [{"b": 2.0}, {"M_x": 20}, {"a": 0.5}], ids=["b", "M_x", "a"])
+def test_mesh_replace_rebuilds_derived_fields(change):
+    # a mesh is (a, b, M_x); replacing one of them rebuilds h, the nodes and
+    # the quadrature points from the new values
+    mesh = replace(uniform_mesh(0.0, 1.0, 10), **change)
+    want = uniform_mesh(mesh.a, mesh.b, mesh.M_x)
+    assert mesh == want and mesh.h == want.h
+    for name in ("nodes", "gauss2", "load_x"):
+        np.testing.assert_array_equal(getattr(mesh, name), getattr(want, name))
+    assert mesh.nodes.size == mesh.M_x + 1 and list(mesh.load_x[-2:]) == [mesh.a, mesh.b]
+
+
+@pytest.mark.parametrize("derived", ["h", "nodes"])
+def test_mesh_replace_rejects_derived_fields(derived):
+    mesh = uniform_mesh(0.0, 1.0, 10)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(mesh, **{derived: getattr(mesh, derived)})
+
+
+def test_spatial_mesh_is_a_value_of_its_parameters():
+    mesh = SpatialMesh(0, 1, 10)
+    built = uniform_mesh(0, 1, 10)
+    assert mesh == built and hash(mesh) == hash(built) and mesh != uniform_mesh(0, 1, 11)
+    assert mesh.h == built.h
+    for name in ("nodes", "gauss2", "load_x"):
+        assert getattr(mesh, name).tobytes() == getattr(built, name).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.nodes[0] = 1.0
+
+
+def test_spatial_mesh_checks_its_parameters_when_built():
+    with pytest.raises(ValueError, match="2 elements"):
+        SpatialMesh(a=0.0, b=1.0, M_x=1)
+    with pytest.raises(ValueError, match="b > a"):
+        SpatialMesh(a=1.0, b=0.0, M_x=8)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0)])
@@ -275,6 +305,16 @@ def test_projection_validation():
     with pytest.raises(ValueError):
         project_initial(lambda x: x, mesh, BcMode.ZERO_FLUX, "ritz",
                         kappa=lambda x: 1.0)
+
+
+def test_projection_modes_are_spelled_as_the_problem_spells_them():
+    # project_initial accepts exactly the modes ProblemSpec.default_projection does
+    mesh = uniform_mesh(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="unknown projection mode"):
+        project_initial(lambda x: x * (1.0 - x), mesh, BcMode.DIRICHLET, "RITZ",
+                        kappa=lambda x: 1.0, u0_prime=lambda x: 1.0 - 2.0 * x)
+    with pytest.raises(ValueError, match="unknown projection mode"):
+        replace(example1(0.5), default_projection="RITZ")
 
 
 def test_ritz_needs_u0_prime():

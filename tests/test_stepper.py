@@ -441,6 +441,23 @@ def test_trajectory_shape_and_start():
     assert traj.values[0, 0] == 0.0 and traj.values[0, -1] == pytest.approx(0.0, abs=1e-15)
 
 
+def test_solver_config_compares_and_hashes_by_its_meshes():
+    config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 8, 2.0), spatial=uniform_mesh(0.0, 1.0, 10))
+    same = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 8, 2.0), spatial=uniform_mesh(0.0, 1.0, 10))
+    finer = replace(config, mesh=replace(config.mesh, N=16))
+    assert config == same and hash(config) == hash(same) and finer != config
+    assert len({config, same, finer}) == 2
+
+
+def test_replaced_step_count_solves():
+    # the replaced mesh's nodes and steps follow N, so every step exists
+    prob = example1(0.7)
+    mesh = replace(build_mesh(1, 8, 2), N=16)
+    traj = solve(prob, SolverConfig(alpha=0.7, mesh=mesh, spatial=uniform_mesh(0.0, 1.0, 20)))
+    assert mesh.nodes.size == 17 and traj.values.shape == (17, 21)
+    assert np.isfinite(traj.values).all()
+
+
 def test_trajectory_validation():
     space = uniform_mesh(0.0, 1.0, 4)
     with pytest.raises(ValueError):

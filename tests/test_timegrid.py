@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfp import build_mesh, check_step_assumption
+from fracfp import GradedMesh, build_mesh, check_step_assumption
 
 
 def test_nodes_closed_form():
@@ -16,6 +17,26 @@ def test_nodes_closed_form():
     assert mesh.nodes[-1] == 2.0  # endpoint pinned exactly
     np.testing.assert_allclose(mesh.nodes[1:-1], want[1:-1], rtol=1e-14)
     np.testing.assert_allclose(mesh.steps, np.diff(mesh.nodes), rtol=0, atol=0)
+
+
+def test_graded_mesh_is_a_value_of_its_parameters():
+    mesh = GradedMesh(1, 8, 2)
+    built = build_mesh(1, 8, 2)
+    assert mesh == built and hash(mesh) == hash(built) and mesh != build_mesh(1, 8, 2.5)
+    for name in ("nodes", "steps"):
+        assert getattr(mesh, name).tobytes() == getattr(built, name).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mesh, name)[0] = 1.0
+
+
+def test_replace_rebuilds_the_nodes():
+    mesh = build_mesh(1, 8, 2)
+    finer = replace(mesh, N=16)
+    assert finer.nodes.size == 17 and finer.steps.size == 16
+    np.testing.assert_array_equal(finer.nodes[::2], mesh.nodes)
+    assert replace(mesh, T=2.0).nodes[-1] == 2.0
+    with pytest.raises(ValueError, match="init=False"):
+        replace(mesh, nodes=mesh.nodes)
 
 
 def test_uniform_is_gamma_one():
