@@ -10,6 +10,7 @@ everything funnels through.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -73,14 +74,17 @@ class SpatialMesh:
         a, b, m = self.a, self.b, self.M_x
         if not (math.isfinite(a) and math.isfinite(b) and b > a):
             raise ValueError(f"need finite b > a, got [{a}, {b}]")
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise ValueError(f"M_x must be an integer, got {m!r}")
         if m < 2:
             raise ValueError(f"need at least 2 elements, got {m}")
+        m = int(m)
         h, nodes = (b - a) / m, np.linspace(a, b, m + 1)
         xm, half = 0.5 * (nodes[:-1] + nodes[1:]), 0.5 * h
         gauss2 = np.ravel(xm + half * np.array([[-_G2], [_G2]]))
         load_x = np.append(xm[:, None] + half * _GL4_X, [a, b])
         nodes.flags.writeable = gauss2.flags.writeable = load_x.flags.writeable = False
-        for name, value in (("h", h), ("nodes", nodes), ("gauss2", gauss2), ("load_x", load_x)):
+        for name, value in (("M_x", m), ("h", h), ("nodes", nodes), ("gauss2", gauss2), ("load_x", load_x)):
             object.__setattr__(self, name, value)
 
 
@@ -160,10 +164,7 @@ def _eval_on(fun, x: np.ndarray) -> np.ndarray:
 def drift_band(mesh: SpatialMesh, bc: BcMode, values) -> TriDiagMatrix:
     """Matrix of -<F phi_q, phi_p'>, 2-point Gauss per element (exact for
     affine F); values holds F on mesh.gauss2, or one number."""
-    d = np.asarray(values, dtype=float)
-    if d.shape != (2 * mesh.M_x,):
-        d = np.broadcast_to(d, (2 * mesh.M_x,))
-    d1, d2 = d.reshape(2, -1)
+    d1, d2 = np.broadcast_to(np.asarray(values, dtype=float), mesh.gauss2.shape).reshape(2, -1)
     # -<F phi_L, phi_L'> = +(1/h) int F phi_L with phi_L = (1 +- _G2)/2 at
     # the two Gauss points, and phi_R' flips the sign
     d_ll = 0.25 * (d1 * (1.0 + _G2) + d2 * (1.0 - _G2))
@@ -176,10 +177,11 @@ def drift_band(mesh: SpatialMesh, bc: BcMode, values) -> TriDiagMatrix:
 
 def assemble_G(mesh: SpatialMesh, bc: BcMode, kappa) -> TriDiagMatrix:
     """Stiffness matrix <kappa phi_q', phi_p'>, 2-point Gauss per element
-    (exact for constant kappa); the drift part is added as drift_band.
-    Raises if kappa is nonpositive at a quadrature node.
+    (exact for constant kappa); kappa holds its values on mesh.gauss2, or
+    one number, as drift_band's values do.  The drift part is added as
+    drift_band.  Raises if kappa is nonpositive at a quadrature node.
     """
-    kv = _eval_on(kappa, mesh.gauss2)
+    kv = np.broadcast_to(np.asarray(kappa, dtype=float), mesh.gauss2.shape)
     if np.any(kv <= 0.0):
         raise ValueError("kappa must be positive at every quadrature node")
     k_el = (kv[: mesh.M_x] + kv[mesh.M_x :]) / (2.0 * mesh.h)
@@ -260,7 +262,7 @@ def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
         xg = mesh.load_x[:-2]
         # <kappa u0', phi_p'> is the load of -(kappa u0')' in flux form
         rhs = load_from_values(mesh, flux=-_eval_on(kappa, xg) * _eval_on(u0_prime, xg))
-        stiff = assemble_G(mesh, bc, kappa)
+        stiff = assemble_G(mesh, bc, kappa(mesh.gauss2))
         return to_full(thomas_solve(stiff, to_dof(rhs, bc)), bc)
 
     raise ValueError(f"unknown projection mode {mode!r}")

@@ -242,12 +242,18 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
     return report
 
 
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+    return values
+
+
 def _float_list(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([float(tok) for tok in text.split(",") if tok.strip()], text)
 
 
 def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()], text)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,6 +1,6 @@
 """L1 time stepping on a graded mesh for the fractional Fokker-Planck system.
 
-init_state builds what every step reads once per solve.  Per step:
+SolverState(problem, config) builds what every step reads.  Per step:
 add the drift band of the midpoint-averaged drift to the kappa stiffness,
 form S^n = M + (tau_n^alpha/Gamma(alpha+2)) G^n, accumulate the
 convolution history of increments, solve the tridiagonal system, advance.
@@ -13,7 +13,7 @@ Increments and trajectory share one (N+1) x (M_x+1) buffer.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .fem1d import (
     to_dof,
 )
 from .kernels import ConvolutionWeights
+from .problems import ProblemSpec
 from .timegrid import GradedMesh, check_step_assumption
 
 __all__ = [
@@ -84,14 +85,14 @@ class Trajectory:
             raise ValueError("nodal vectors do not match the spatial mesh")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverState:
-    """Mutable per-solve state: completed step count, current solution at
-    the unknowns (updated in place), increments, the mass matrix, kappa
-    stiffness K and weights that init_state builds for every step, the drift
-    at t_n on SpatialMesh.gauss2 (None without drift), and the open history
-    block (None before the first step).  The boundary condition is read from
-    the problem.
+    """One solve's mutable state, built from (problem, config) alone: step
+    reads nothing else.  Derived: the completed step count n, the solution
+    at the unknowns (updated in place), increments, the mass matrix, K and
+    the diffusion floor (from one kappa sample on SpatialMesh.gauss2), the
+    weights, the drift at t_n on gauss2 (None without drift) and the open
+    history block (None before the first step).  Compares by identity.
 
     W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
     nodal U^0 and row n the increment W^n = U^n - U^(n-1) at the unknowns
@@ -99,17 +100,46 @@ class SolverState:
     trajectory U^0..U^N.  For the steps s..s+_BLOCK-1 of the open block,
     _hist_old[n-s] is sum_{j<s} (w_{n,j}/tau_j) W^j and _hist_tail[n-s, :n-s]
     are the weights w_{n,j}/tau_j for j = s..n-1.
+
+    Raises ValueError when config.alpha and problem.alpha differ (scheme,
+    source and exact solution share one order), when the spatial mesh's
+    ends miss the problem domain's by over 1e-12 relative, or when kappa
+    is not positive on gauss2.
     """
 
-    n: int
-    U_dof: np.ndarray
-    W: np.ndarray
-    _mass: TriDiagMatrix
-    _K: TriDiagMatrix
-    _cw: ConvolutionWeights
-    _drift: object
-    _hist_old: np.ndarray = None
-    _hist_tail: np.ndarray = None
+    problem: ProblemSpec
+    config: SolverConfig
+    n: int = field(init=False)
+    U_dof: np.ndarray = field(init=False)
+    W: np.ndarray = field(init=False)
+    _mass: TriDiagMatrix = field(init=False)
+    _K: TriDiagMatrix = field(init=False)
+    _kappa_min: float = field(init=False)
+    _cw: ConvolutionWeights = field(init=False)
+    _drift: object = field(init=False)
+    _hist_old: np.ndarray = field(init=False, default=None)
+    _hist_tail: np.ndarray = field(init=False, default=None)
+
+    def __post_init__(self):
+        problem, config = self.problem, self.config
+        if config.alpha != problem.alpha:
+            raise ValueError(f"config.alpha = {config.alpha} differs from "
+                             f"problem.alpha = {problem.alpha}")
+        space, bc = config.spatial, problem.bc
+        a, b = problem.domain
+        tol = 1e-12 * max(abs(a), abs(b))
+        if abs(space.a - a) > tol or abs(space.b - b) > tol:
+            raise ValueError(f"spatial mesh [{space.a}, {space.b}] does not cover the problem domain [{a}, {b}]")
+        U0_full = project_initial(problem.u0, space, bc, problem.default_projection,
+                                  kappa=problem.kappa, u0_prime=problem.u0_prime)
+        self.W = np.zeros((config.mesh.N + 1, space.M_x + 1))
+        self.W[0] = U0_full
+        self.n, self.U_dof = 0, to_dof(U0_full, bc)
+        kappa = problem.kappa(space.gauss2)
+        self._mass, self._K = assemble_mass(space, bc), assemble_G(space, bc, kappa)
+        self._kappa_min = float(np.min(kappa))
+        self._cw = ConvolutionWeights(config.mesh, config.alpha)
+        self._drift = None if problem.drift is None else problem.drift(space.gauss2, config.mesh.nodes[0])
 
 
 def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
@@ -128,12 +158,12 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
     The tests check the result against adaptive quadrature.  ProblemSpec
     rejects rho <= -1 (non-integrable) when it is built.
     """
-    if all(fn is None for fn in (problem.f, problem.f_regular, problem.flux_regular)):
-        return np.zeros(spatial.M_x + 1)
     t0, t1 = interval
-    rho = float(problem.rho or 0.0)
     if not 0.0 <= t0 < t1:
         raise ValueError(f"bad time interval ({t0}, {t1})")
+    if all(fn is None for fn in (problem.f, problem.f_regular, problem.flux_regular)):
+        return np.zeros(spatial.M_x + 1)
+    rho = float(problem.rho or 0.0)
     q = rho + 1.0
     # s = t**(rho+1) absorbs the endpoint singularity and, on graded meshes,
     # straightens the near-origin stretching that defeats rules in t itself
@@ -162,36 +192,8 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
 
 
 def init_state(problem, config: SolverConfig) -> SolverState:
-    """Project the initial datum, build what every step reads (kappa must
-    be positive where K samples it) and evaluate the drift at t_0.
-
-    Raises ValueError when config.alpha and problem.alpha differ (the scheme
-    and the problem's source and exact solution must share one order), or
-    when the spatial mesh's ends miss the problem domain's by more than
-    1e-12 relative.
-    """
-    if config.alpha != problem.alpha:
-        raise ValueError(f"config.alpha = {config.alpha} differs from "
-                         f"problem.alpha = {problem.alpha}")
-    space = config.spatial
-    a, b = problem.domain
-    tol = 1e-12 * max(abs(a), abs(b))
-    if abs(space.a - a) > tol or abs(space.b - b) > tol:
-        raise ValueError(f"spatial mesh [{space.a}, {space.b}] does not cover the problem domain [{a}, {b}]")
-    bc = problem.bc
-    U0_full = project_initial(problem.u0, space, bc, problem.default_projection,
-                              kappa=problem.kappa, u0_prime=problem.u0_prime)
-    W = np.zeros((config.mesh.N + 1, space.M_x + 1))
-    W[0] = U0_full
-    return SolverState(
-        n=0,
-        U_dof=to_dof(U0_full, bc),
-        W=W,
-        _mass=assemble_mass(space, bc),
-        _K=assemble_G(space, bc, problem.kappa),
-        _cw=ConvolutionWeights(config.mesh, config.alpha),
-        _drift=None if problem.drift is None else problem.drift(space.gauss2, config.mesh.nodes[0]),
-    )
+    """SolverState(problem, config): the state before the first step."""
+    return SolverState(problem, config)
 
 
 def _open_block(state: SolverState, tmesh: GradedMesh, W: np.ndarray, s: int) -> None:
@@ -206,7 +208,7 @@ def _open_block(state: SolverState, tmesh: GradedMesh, W: np.ndarray, s: int) ->
     state._hist_tail = coeff[:, s - 1 :]
 
 
-def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
+def step(state: SolverState) -> SolverState:
     """Advance one time level: solve S^n W^n = f^n - w0(n) G^n U^0 - G^n H^n
     with the history vector H^n = sum_{j<n} (w_{n,j}/tau_j) W^j, and store
     W^n in row n of state.W.
@@ -223,7 +225,7 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
 
     Raises FloatingPointError, naming n and t_n, if W^n is not finite.
     """
-    tmesh = config.mesh
+    problem, space, tmesh = state.problem, state.config.spatial, state.config.mesh
     n = state.n + 1
     if n > tmesh.N:
         raise IndexError(f"trajectory already complete at N = {tmesh.N}")
@@ -232,11 +234,11 @@ def step(state: SolverState, config: SolverConfig, problem) -> SolverState:
     bc = problem.bc
     G, F, drift = state._K, problem.drift, None
     if F is not None:
-        drift = F(config.spatial.gauss2, t1)
-        G = G.plus_scaled(drift_band(config.spatial, bc, 0.5 * (state._drift + drift)), 1.0)
+        drift = F(space.gauss2, t1)
+        G = G.plus_scaled(drift_band(space, bc, 0.5 * (state._drift + drift)), 1.0)
     S = state._mass.plus_scaled(G, state._cw.d(n))
 
-    fvec = to_dof(assemble_source(problem, config.spatial, (t0, t1)), bc)
+    fvec = to_dof(assemble_source(problem, space, (t0, t1)), bc)
 
     W = state.W[:, dof_slice(bc)]
     s = n - (n - 1) % _BLOCK
@@ -265,18 +267,17 @@ def solve(problem, config: SolverConfig) -> Trajectory:
     fails the sufficient step-size condition for the discrete stability
     bound, checked on the solve's own samples: c0 is the largest |F| the
     steps computed (on SpatialMesh.gauss2 at t_0..t_N) and the diffusion
-    floor the smallest kappa on gauss2, where K is assembled.  Filter it
-    with warnings.filterwarnings("ignore", "time mesh violates").
+    floor the smallest kappa in the gauss2 sample K is assembled from.
+    Filter it with warnings.filterwarnings("ignore", "time mesh violates").
     """
     state = init_state(problem, config)
     drift = problem.drift is not None
     c0 = float(np.abs(state._drift).max()) if drift else 0.0
     for _ in range(config.mesh.N):
-        step(state, config, problem)
+        step(state)
         if drift:
             c0 = max(c0, float(np.abs(state._drift).max()))
-    kmin = float(np.min(problem.kappa(config.spatial.gauss2)))
-    if not check_step_assumption(config.mesh, config.alpha, c0, kmin):
+    if not check_step_assumption(config.mesh, config.alpha, c0, state._kappa_min):
         warnings.warn(
             "time mesh violates the sufficient step-size condition; "
             "the discrete stability bound is not guaranteed",

@@ -282,7 +282,7 @@ def direct_l1_solve(problem, config) -> np.ndarray:
     mass = assemble_mass(space, bc)
     cw = ConvolutionWeights(tmesh, config.alpha)
     F = problem.drift
-    K = assemble_G(space, bc, problem.kappa)
+    K = assemble_G(space, bc, problem.kappa(space.gauss2))
     xg = space.gauss2
     for n in range(1, N + 1):
         t0, t1 = tmesh.nodes[n - 1], tmesh.nodes[n]

@@ -27,10 +27,10 @@ from oracles import dense_load, dense_matrices, tridiag_dense
 
 
 def transport(mesh, bc, kappa, drift):
-    """The stepper's G: assemble_G plus the drift band of drift on the
-    2-point Gauss nodes."""
+    """The stepper's G: assemble_G plus the drift band, kappa and drift
+    both sampled on the 2-point Gauss nodes."""
     band = drift_band(mesh, bc, drift(mesh.gauss2))
-    return assemble_G(mesh, bc, kappa).plus_scaled(band, 1.0)
+    return assemble_G(mesh, bc, kappa(mesh.gauss2)).plus_scaled(band, 1.0)
 
 
 def test_mesh_basics():
@@ -118,13 +118,20 @@ def test_G_matches_dense_oracle():
 def test_G_rejects_nonpositive_kappa():
     mesh = uniform_mesh(0.0, 1.0, 8)
     with pytest.raises(ValueError):
-        assemble_G(mesh, BcMode.DIRICHLET, lambda x: x - 0.5)
+        assemble_G(mesh, BcMode.DIRICHLET, mesh.gauss2 - 0.5)
+
+
+def test_G_takes_kappa_on_gauss2_or_one_number():
+    mesh = uniform_mesh(0.0, 1.0, 8)
+    for bc in BcMode:
+        np.testing.assert_array_equal(tridiag_dense(assemble_G(mesh, bc, 2.0)),
+                                      tridiag_dense(assemble_G(mesh, bc, np.full(16, 2.0))))
 
 
 def test_tridiag_ops():
     mesh = uniform_mesh(0.0, 1.0, 6)
     M = assemble_mass(mesh, BcMode.ZERO_FLUX)
-    G = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0)
+    G = assemble_G(mesh, BcMode.ZERO_FLUX, 1.0)
     v = np.sin(np.arange(7.0))
     np.testing.assert_allclose(M.matvec(v), tridiag_dense(M) @ v, rtol=1e-13)
     S = M.plus_scaled(G, 0.25)
@@ -136,7 +143,7 @@ def test_thomas_against_dense():
     rng = np.random.default_rng(7)
     mesh = uniform_mesh(0.0, 1.0, 40)
     A = assemble_mass(mesh, BcMode.DIRICHLET).plus_scaled(
-        assemble_G(mesh, BcMode.DIRICHLET, lambda x: 1.0 + x), 0.37)
+        assemble_G(mesh, BcMode.DIRICHLET, 1.0 + mesh.gauss2), 0.37)
     rhs = rng.standard_normal(A.n)
     x = thomas_solve(A, rhs)
     np.testing.assert_allclose(x, np.linalg.solve(tridiag_dense(A), rhs), rtol=1e-11)
@@ -145,7 +152,7 @@ def test_thomas_against_dense():
 def test_thomas_singular_raises():
     # pure-Neumann stiffness annihilates constants: singular system
     mesh = uniform_mesh(0.0, 1.0, 12)
-    K = assemble_G(mesh, BcMode.ZERO_FLUX, lambda x: 1.0)
+    K = assemble_G(mesh, BcMode.ZERO_FLUX, 1.0)
     with pytest.raises(SingularSystemError):
         thomas_solve(K, np.zeros(K.n))
 
@@ -275,6 +282,11 @@ def test_spatial_mesh_checks_its_parameters_when_built():
         SpatialMesh(a=0.0, b=1.0, M_x=1)
     with pytest.raises(ValueError, match="b > a"):
         SpatialMesh(a=1.0, b=0.0, M_x=8)
+    for bad in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="M_x must be an integer"):
+            SpatialMesh(a=0.0, b=1.0, M_x=bad)
+    mesh = SpatialMesh(0.0, 1.0, np.int64(4))
+    assert type(mesh.M_x) is int and mesh == SpatialMesh(0.0, 1.0, 4)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0)])

@@ -347,6 +347,17 @@ def test_cli_rejects_bc_override(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--gamma", "--steps"])
+@pytest.mark.parametrize("text", ["", " , "])
+def test_cli_rejects_empty_lists(tmp_path, capsys, flag, text):
+    # a study of zero solves is an argument error, not a header-only CSV
+    with pytest.raises(SystemExit) as exc:
+        main([flag, text, "--elements", "20", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "needs at least one value" in capsys.readouterr().err
+    assert not (tmp_path / "ex1_study.csv").exists()
+
+
 def test_main_in_process(tmp_path):
     rc = main(["--problem", "ex2", "--alpha", "0.7", "--gamma", "3",
                "--steps", "4", "--elements", "25", "--out", str(tmp_path)])

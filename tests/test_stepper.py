@@ -1,8 +1,9 @@
 import functools
+import inspect
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fracfp import (
     ConvolutionWeights,
     ProblemSpec,
     SolverConfig,
+    SolverState,
     Trajectory,
     assemble_mass,
     assemble_source,
@@ -31,7 +33,7 @@ from fracfp import (
 )
 
 from fracfp import problems, stepper
-from fracfp.fem1d import load_from_values
+from fracfp.fem1d import dof_slice, load_from_values
 from fracfp.stepper import _BLOCK
 from oracles import cn_reference, direct_l1_solve, source_integral_oracle, source_integral_singular
 
@@ -273,10 +275,10 @@ def test_nonfinite_state_names_step():
                           spatial=uniform_mesh(0.0, 1.0, 8))
     state = init_state(prob, config)
     for _ in range(4):
-        step(state, config, prob)
+        step(state)
     assert np.isfinite(state.U_dof).all()
     with pytest.raises(FloatingPointError, match=r"n = 5, t_n = 0\.625"):
-        step(state, config, prob)
+        step(state)
     with pytest.raises(FloatingPointError, match=r"n = 5"):
         solve(prob, config)
 
@@ -343,10 +345,10 @@ def test_blocked_history_matches_direct_sum(bc, N):
 
 
 def test_one_solve_work_counts(monkeypatch):
-    # the plan is built once: K (the only kappa sampling of a step loop) and
-    # the weights in init_state; each step evaluates the drift once and takes
-    # one weight row.  A whole solve adds one kappa call, the step-size
-    # check's diffusion floor; its drift bound is the steps' own samples
+    # the state is built once: K and the diffusion floor from one kappa
+    # sample on gauss2, and the weights; each step evaluates the drift once
+    # and takes one weight row.  A whole solve adds nothing: the step-size
+    # check reads the state's kappa floor and the steps' own drift samples
     calls = Counter()
 
     def counted(name, fn):
@@ -366,13 +368,51 @@ def test_one_solve_work_counts(monkeypatch):
     state = init_state(prob, config)
     at_init = dict(calls)
     for _ in range(N):
-        state = step(state, config, prob)
+        state = step(state)
     assert at_init == {"assemble_G": 1, "kappa": 1, "drift": 1}
     assert calls == {"assemble_G": 1, "kappa": 1, "drift": N + 1, "row": N}
     assert state.n == N
     calls.clear()
     solve(prob, config)
-    assert calls == {"assemble_G": 1, "kappa": 2, "drift": N + 1, "row": N}
+    assert calls == {"assemble_G": 1, "kappa": 1, "drift": N + 1, "row": N}
+
+
+def test_ritz_solve_samples_kappa_once_on_gauss2():
+    # the ritz projection samples kappa on the load points and on gauss2;
+    # the state samples it once more on gauss2 for K and the diffusion floor
+    sizes = []
+
+    def kappa(x):
+        sizes.append(np.size(x))
+        return np.ones_like(x)
+
+    prob = replace(example1(0.7), kappa=kappa)
+    assert prob.default_projection == "ritz"
+    M = 50
+    solve(prob, SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 4, 2.0),
+                             spatial=uniform_mesh(0.0, 1.0, M)))
+    assert sizes == [4 * M, 2 * M, 2 * M]
+
+
+def test_state_is_built_from_problem_and_config_alone():
+    assert [f.name for f in fields(SolverState) if f.init] == ["problem", "config"]
+    assert list(inspect.signature(step).parameters) == ["state"]
+
+
+@pytest.mark.parametrize("bc", [BcMode.DIRICHLET, BcMode.ZERO_FLUX])
+def test_stepping_by_hand_equals_solve(bc):
+    prob = make_problem(bc=bc, drift=lambda x, t: np.sin(t) - x,
+                        u0=lambda x: 1.0 + x * (1.0 - x),
+                        f=lambda x, t: np.cos(3.0 * t) * np.exp(-np.asarray(x)))
+    N = _BLOCK + 5
+    config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, N, 2.5),
+                          spatial=uniform_mesh(0.0, 1.0, 24))
+    want = solve(prob, config).values
+    state = init_state(prob, config)
+    np.testing.assert_array_equal(state.W[0], want[0])
+    for n in range(1, N + 1):
+        step(state)
+        np.testing.assert_array_equal(state.U_dof, want[n, dof_slice(bc)])
 
 
 @pytest.mark.parametrize("bound", ["none", "low", "between", "high"])
@@ -486,10 +526,10 @@ def test_step_past_end_raises():
     config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 2, 1.0),
                           spatial=uniform_mesh(0.0, 1.0, 8))
     state = init_state(prob, config)
-    step(state, config, prob)
-    step(state, config, prob)
+    step(state)
+    step(state)
     with pytest.raises(IndexError):
-        step(state, config, prob)
+        step(state)
 
 
 def test_step_size_warning_toggle():
@@ -560,9 +600,10 @@ def test_problem_rejects_inconsistent_inputs_when_built(bad):
 
 
 def test_source_rejects_reversed_interval():
-    prob = make_problem(f=lambda x, t: np.ones_like(x))
-    with pytest.raises(ValueError, match="bad time interval"):
-        assemble_source(prob, uniform_mesh(0.0, 1.0, 8), (0.3, 0.2))
+    # a sourceless problem checks the interval too, before returning zeros
+    for prob in (make_problem(f=lambda x, t: np.ones_like(x)), make_problem()):
+        with pytest.raises(ValueError, match="bad time interval"):
+            assemble_source(prob, uniform_mesh(0.0, 1.0, 8), (0.3, 0.2))
 
 
 def test_alpha_validation():
