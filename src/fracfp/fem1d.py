@@ -132,8 +132,8 @@ def _restrict(full: TriDiagMatrix, bc: BcMode) -> TriDiagMatrix:
 
 
 def to_dof(v_full: np.ndarray, bc: BcMode) -> np.ndarray:
-    """Full nodal vector -> unknown vector."""
-    return v_full[dof_slice(bc)].copy()
+    """Full nodal vector -> unknown vector (along the last axis)."""
+    return v_full[..., dof_slice(bc)].copy()
 
 
 def to_full(v_dof: np.ndarray, bc: BcMode) -> np.ndarray:
@@ -211,22 +211,23 @@ def load_from_values(mesh: SpatialMesh, values=None, flux=None, ends=None) -> np
 
     values and flux hold v and g on the interior points mesh.load_x[:-2];
     ends holds g(a), g(b).  Any of them may be None.  With all three this is
-    the load of v + g'.
+    the load of v + g'.  Leading axes are rows: each row gives one vector.
     """
-    out = np.zeros(mesh.M_x + 1)
+    lead = np.shape(values if values is not None else flux if flux is not None else ends)[:-1]
+    out = np.zeros(lead + (mesh.M_x + 1,))
     if values is not None:
         half = 0.5 * mesh.h
-        values = values.reshape(mesh.M_x, 4)
-        out[:-1] += half * (values @ (_GL4_W * (0.5 * (1.0 - _GL4_X))))
-        out[1:] += half * (values @ (_GL4_W * (0.5 * (1.0 + _GL4_X))))
+        values = values.reshape(lead + (mesh.M_x, 4))
+        out[..., :-1] += half * (values @ (_GL4_W * (0.5 * (1.0 - _GL4_X))))
+        out[..., 1:] += half * (values @ (_GL4_W * (0.5 * (1.0 + _GL4_X))))
     if flux is not None:
         # phi_p' = -+1/h cancels the h/2 scale of the rule
-        el = 0.5 * (flux.reshape(mesh.M_x, 4) @ _GL4_W)
-        out[:-1] += el
-        out[1:] -= el
+        el = 0.5 * (flux.reshape(lead + (mesh.M_x, 4)) @ _GL4_W)
+        out[..., :-1] += el
+        out[..., 1:] -= el
     if ends is not None:
-        out[0] -= ends[0]
-        out[-1] += ends[1]
+        out[..., 0] -= ends[..., 0]
+        out[..., -1] += ends[..., 1]
     return out
 
 

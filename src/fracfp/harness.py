@@ -20,7 +20,7 @@ import numpy as np
 
 from .fem1d import l2_norm, uniform_mesh
 from .problems import ProblemSpec, example1, example2
-from .stepper import SolverConfig, Trajectory, solve
+from .stepper import _BLOCK, SolverConfig, Trajectory, solve
 from .timegrid import build_mesh
 
 __all__ = [
@@ -35,8 +35,9 @@ __all__ = [
 ]
 
 _PROBLEMS = {"ex1": example1, "ex2": example2}
-# time levels per exact-solution call, the source quadrature's batch size
-_EXACT_BLOCK = 8
+# time levels per exact-solution call: a block of steps, the solve's batch
+# of source loads
+_EXACT_BLOCK = _BLOCK
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,9 @@ def compute_errors(trajectory: Trajectory, problem: ProblemSpec):
     multiplies by t_n**(alpha/4) before the max.  I_h samples the exact
     solution at the nodes: problem.exact gets them with a 1-D array of up to
     _EXACT_BLOCK time levels per call and must return one row of nodal
-    values per time; any other shape raises ValueError.
+    values per time; any other shape raises ValueError.  The built-in
+    problems truncate each time's row on its own, so a row equals a call
+    with that time alone up to rounding.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to compare against")

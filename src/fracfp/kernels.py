@@ -192,8 +192,9 @@ _TAYLOR_PMAX = 4096
 _DE_H = 0.1
 _DE_T = -7.5 + _DE_H * np.arange(136)
 _DE_P1 = 0.05
-# largest (points x nodes) complex buffer _ml_hankel fills at once, in entries
-_HANKEL_BUF = 1 << 21
+# largest (points x nodes) complex buffer _ml_hankel fills at once, in
+# entries (4 MB)
+_HANKEL_BUF = 1 << 18
 
 _de_cache: dict = {}
 

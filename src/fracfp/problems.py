@@ -13,15 +13,19 @@ ProblemSpec.flux_regular = (sin t - x) V: the load vector needs V only,
 never the slower-converging V_x.  Series evaluation is the delicate part: a
 fixed truncation cannot serve both t = O(1) and the t_1 ~ 1e-12 values of
 strongly graded meshes, so the evaluator picks the truncation M and the
-tail-correction orders per call from analytic bounds (see _choose_mk) that
-keep everything dropped below _TAIL_TOL = 1e-9 absolute.  Each evaluation
-then does one Mittag-Leffler call and one mode sum, whose weight rows are the
-time rows (or rows folded over time, see _SeriesFlux) followed by the
-correction terms; the corrections are the gaps between the closed forms P_k
-of the damped sums (SineSeries.eval_P) and their partial sums, added to
-those rows as one product.
-Modes past a grid's sine rows go by FFT on lattice grids, such as every grid
-the solver builds (see _mode_sum).  alpha = 1 makes both series exponentials.
+tail-correction orders from analytic bounds (see _choose_mk) that keep
+everything dropped below _TAIL_TOL = 1e-9 absolute.  One evaluation
+(_eval_rows) serves many rows: the time levels of exact, or the steps of a
+block, each step's Gauss times folded (see _SeriesFlux).  Every row takes
+its own M and corrections at its smallest time, as if evaluated alone, and
+the evaluation makes one Mittag-Leffler call for all of them.  The rows'
+modes within a grid's sine rows are summed by one product with those rows;
+the rare rows past them (the first steps of graded meshes) go by FFT on
+lattice grids, such as every grid the solver builds (see _mode_sum).  The
+corrections are the gaps between the closed forms P_k of the damped sums
+(SineSeries.eval_P) and their partial sums, one gap per distinct (k, M),
+added to the rows as one product.  alpha = 1 makes both series
+exponentials.
 
 Both are homogeneous Dirichlet problems: exact solves that problem only, so
 a copy with another bc has no exact solution to compare against.
@@ -255,17 +259,21 @@ class SineSeries:
         return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
-def _modes_for(C: float, e: float) -> int:
+def _pi_pow(e: np.ndarray) -> np.ndarray:
+    """pi**-e for each exponent of e, each as one float power."""
+    return np.array([math.pi ** -v for v in e.tolist()])
+
+
+def _modes_for(C: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Smallest M with C * pi**-e * (2M+1)**(1-e) / (2(e-1)) <= 1 (the bound
-    on sum_{m>M} lam_m**-e scaled by C)."""
-    rhs = C * math.pi ** (-e) / (2.0 * (e - 1.0))
-    if rhs <= 1.0:
-        return 0
-    return int(math.ceil((rhs ** (1.0 / (e - 1.0)) - 1.0) / 2.0))
+    on sum_{m>M} lam_m**-e scaled by C), per entry of C, with the exponents
+    e along its last axis; as floats, inf where C is."""
+    rhs = C * _pi_pow(e) / (2.0 * (e - 1.0))
+    return np.where(rhs <= 1.0, 0.0, np.ceil((rhs ** (1.0 / (e - 1.0)) - 1.0) / 2.0))
 
 
-def _choose_mk(series: SineSeries, beta: float, t: float):
-    """Pick truncation M and the correction terms for one evaluation.
+def _choose_mk(series: SineSeries, beta: float, t):
+    """Pick truncation M and the correction terms at each time of t (> 0).
 
     Under acceleration order J the dropped remainder (modes m > M after
     subtracting J asymptotic correction terms) obeys the reflection-formula
@@ -278,106 +286,140 @@ def _choose_mk(series: SineSeries, beta: float, t: float):
     t**(-alpha k) * eps * max|P_k| (it is a difference of two O(|P_k|)
     quantities).  A term too noisy to compute can instead be suppressed by
     raising M until its whole size drops below tolerance.  Among orders J the
-    cheapest admissible M wins; returns (M, terms) where terms lists the
-    correction orders actually worth computing.  alpha is the series'; beta
-    is 1 or alpha.
+    cheapest admissible M wins (the lowest J on a tie); returns (M, kept): M
+    an int array over the times, and kept a bool array with one column per
+    order k = 0.._ORDER, true where correction k is worth computing.  Each
+    time is decided on its own, as by a call with that time alone.  alpha
+    is the series'; beta is 1 or alpha.
     """
     alpha = series.alpha
     A = abs(series.amplitude)
     p = series.power
     env, rgs, pmax = series.consts[beta]
-    best = None
-    for J in range(len(env)):
-        e_env = p + 2 * (J + 1)
-        try:
-            c_env = env[J] * t ** (-alpha * (J + 1)) * A / (0.5 * _TAIL_TOL)
-        except OverflowError:  # the float power; the powers below are smaller
-            continue
-        if not math.isfinite(c_env):
-            continue
-        m_req = _modes_for(c_env, e_env)
-        terms = []
-        feasible = True
-        for k in range(1, J + 1):
-            rg = abs(rgs[k])
-            if rg == 0.0:
-                continue
-            noise = t ** (-alpha * k) * 5.0e-16 * pmax[k] * rg
-            if noise <= 0.1 * _TAIL_TOL:
-                terms.append(k)
-            else:
-                c_kill = rg * t ** (-alpha * k) * A / (0.1 * _TAIL_TOL)
-                if not math.isfinite(c_kill):
-                    feasible = False
-                    break
-                m_req = max(m_req, _modes_for(c_kill, p + 2 * k))
-        if not feasible:
-            continue
-        if best is None or m_req < best[0]:
-            best = (m_req, terms)
-        if m_req == 0:
-            break
-    if best is None or best[0] > _M_MAX:
-        have = "inf" if best is None else str(best[0])
-        raise TruncationError(f"series needs {have} modes at t = {t:g} (cap {_M_MAX})")
-    m_fin, terms = best
-    # drop corrections that the final M already renders negligible
-    kept = []
-    for k in terms:
-        rg = abs(rgs[k])
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    j = np.arange(1, len(env) + 1)  # J + 1 for the orders J = 0.._ORDER
+    k, rg = j[:-1], np.abs(rgs[1:])  # the correction terms 1.._ORDER
+    # an overflowing power or product makes an order infeasible: its M is inf
+    with np.errstate(over="ignore"):
+        tpow = t[:, None] ** (-alpha * j)
+        m_env = _modes_for(np.asarray(env) * tpow * A / (0.5 * _TAIL_TOL), p + 2 * j)
+        tk = tpow[:, :-1]
+        quiet = (tk * 5.0e-16 * np.asarray(pmax[1:]) * rg <= 0.1 * _TAIL_TOL) & (rg != 0.0)
+        kill = np.where(quiet, 0.0, _modes_for(rg * tk * A / (0.1 * _TAIL_TOL), p + 2 * k))
+        # order J needs its envelope's M and every noisy term k <= J suppressed
+        m_req = np.maximum(m_env, np.maximum.accumulate(
+            np.column_stack([np.zeros(t.size), kill]), axis=1))
+        J, best = np.argmin(m_req, axis=1), m_req.min(axis=1)
+        over = ~(best <= _M_MAX)
+        if over.any():
+            i = np.flatnonzero(over)[0]
+            have = "inf" if math.isinf(best[i]) else str(int(best[i]))
+            raise TruncationError(f"series needs {have} modes at t = {t[i]:g} (cap {_M_MAX})")
+        M = best.astype(np.int64)
+        # drop corrections that the final M already renders negligible
         e_k = p + 2 * k
-        size = (rg * t ** (-alpha * k) * A * math.pi ** (-e_k)
-                * (2.0 * m_fin + 1.0) ** (1 - e_k) / (2.0 * (e_k - 1.0)))
-        if size > 0.02 * _TAIL_TOL:
-            kept.append(k)
-    return m_fin, kept
+        size = (rg * tk * A * _pi_pow(e_k)
+                * (2.0 * M[:, None] + 1.0) ** (1 - e_k) / (2.0 * (e_k - 1.0)))
+    kept = quiet & (k <= J[:, None]) & (size > 0.02 * _TAIL_TOL)
+    return M, np.column_stack([np.zeros(t.size, dtype=bool), kept])
 
 
-def _eval_structured(series: SineSeries, kind: str, grid: _Grid, t, fold=None):
-    """Evaluate the u / V series of one SineSeries on a grid's points.
-
-    kind "u" pairs sin modes with E_{alpha,1}; "v" uses E_{alpha,alpha}.
-    t may be a scalar or a 1-D array; batching times shares the trig mode
-    matrices, and the truncation is chosen at the smallest positive t (its
-    bounds only improve with t).  Result shape is t.shape + grid.x.shape.
-    A (rows x times) matrix fold gives fold @ (those rows) instead, shape
-    (rows,) + grid.x.shape, folded into the mode weights and corrections, so
-    the mode sum carries rows + len(terms) rows however many times there are.
-    """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+def _times(t) -> np.ndarray:
+    ts = np.asarray(t, dtype=float)
     if not np.all((ts >= 0.0) & (ts < math.inf)):
         raise ValueError("series evaluation requires finite t >= 0")
-    weights = np.eye(ts.size) if fold is None else np.asarray(fold, dtype=float)
-    rows = weights.shape[0]
+    return ts
 
-    alpha = series.alpha
-    beta = 1.0 if kind == "u" else alpha
+
+def _eval_rows(series: SineSeries, kind: str, grid: _Grid, t: np.ndarray, fold: np.ndarray):
+    """Folded u / V series of one SineSeries on a grid's points, row by row.
+
+    kind "u" pairs sin modes with E_{alpha,1}; "v" uses E_{alpha,alpha}.  t
+    is (R, Q), finite and >= 0, and fold (K, R, Q); the result, (K, R,
+    points), is sum_q fold[k, r, q] series(x, t[r, q]).  Row r takes its own
+    truncation M_r and correction terms, from _choose_mk at its smallest
+    positive time (the bounds only improve with t), so a row is the
+    evaluation of its times alone.
+
+    One Mittag-Leffler call serves every (r, q, m <= M_r).  The folded time
+    rows (weights zero past M_r) and one row c_m lam_m**(-2k), m <= M, per
+    distinct pair (k, M_r) of the corrections are summed over modes
+    together: rows within the grid's sine rows by one product, the rest by
+    one _mode_sum.  Correction k adds (-1)^(k+1) rgamma(beta - alpha k)
+    t**(-alpha k) (P_k - partial) to its rows; each gap P_k - partial is
+    formed before it meets its coefficient (up to t**(-alpha _ORDER)),
+    and all of them go in as one (rows x pairs) product, a few rows at a
+    time.
+    """
+    K, R, Q = fold.shape
+    beta = 1.0 if kind == "u" else series.alpha
     rgs = series.consts[beta][1]
+    pos = t > 0.0
+    tmin = np.where(pos, t, math.inf).min(axis=1)
+    live = tmin < math.inf
+    M = np.full(R, -1)
+    kept = np.zeros((R, len(rgs)), dtype=bool)
+    if live.any():
+        M[live], kept[live] = _choose_mk(series, beta, tmin[live])
+    m = np.arange(M.max() + 1)
+    lam = (2.0 * m + 1.0) * math.pi
+    c = series.coeffs(m)
 
-    pos = ts > 0.0
-    out = np.zeros((rows, grid.flat.size))
-    if pos.any():
-        tp, wp = ts[pos], weights[:, pos]
-        M, terms = _choose_mk(series, beta, float(tp.min()))
-        m = np.arange(M + 1)
-        lam = (2.0 * m + 1.0) * math.pi
-        c = series.coeffs(m)
-        z = np.outer(tp**alpha, lam * lam)
-        E = np.asarray(mittag_leffler(alpha, beta, -z.ravel())).reshape(z.shape)
-        # folded time rows of c E, then one row c lam**(-2k) per correction term
-        sums = _mode_sum(grid, np.vstack([wp @ (c * E)] + [c * lam ** (-2.0 * k) for k in terms]))
-        # term k adds (-1)^(k+1) rgamma(beta - alpha k) t**(-alpha k) (P_k - partial):
-        # its partial-sum row becomes partial - P_k in place, and is subtracted
-        sign_rg = np.array([rgs[k] if k % 2 == 1 else -rgs[k] for k in terms])
-        for row, k in enumerate(terms, start=rows):
-            sums[row] -= grid.P[k]
-        out = sums[:rows]
-        out -= (wp @ (sign_rg * tp[:, None] ** (-alpha * np.array(terms)))) @ sums[rows:]
+    # the distinct (k, M_r) of the kept corrections, and each row's pair
+    r_of, k_of = np.nonzero(kept)
+    pairs, pair_of = np.unique(np.column_stack([k_of, M[r_of]]), axis=0, return_inverse=True)
+    weights = np.vstack([_time_rows(series, beta, t, fold, M, lam, c),
+                         np.where(m <= pairs[:, 1:], c * lam ** (-2.0 * pairs[:, :1]), 0.0)])
+    out, gaps = _sine_sums(grid, weights, np.concatenate([np.tile(M, K), pairs[:, 1]]) >= _ROW_CAP, K * R)
+    out = out.reshape(K, R, -1)
+    if pairs.size:
+        for gap, k in zip(gaps, pairs[:, 0]):
+            gap -= grid.P[k]  # partial - P_k, so its term is subtracted
+        sign_rg = np.array([rgs[k] if k % 2 == 1 else -rgs[k] for k in range(len(rgs))])
+        with np.errstate(divide="ignore"):  # t = 0 entries are masked
+            tk = np.where(pos[r_of], t[r_of] ** (-series.alpha * k_of[:, None]), 0.0)
+        coef = np.zeros((K, R, len(pairs)))
+        coef[:, r_of, pair_of.reshape(-1)] = np.einsum("kiq,iq->ki", fold[:, r_of], sign_rg[k_of, None] * tk)
+        # a few rows at a time, so that the product's buffer stays small
+        flat, coef = out.reshape(K * R, -1), coef.reshape(K * R, -1)
+        for i in range(0, K * R, 8):
+            flat[i:i + 8] -= coef[i:i + 8] @ gaps
     if not pos.all():
         # E(0) = 1/Gamma(beta) = rgs[0] mode-independently, so P_0 applies
-        out += np.multiply.outer(weights[:, ~pos].sum(axis=1) * rgs[0], grid.P[0])
-    shape = (np.shape(t) if fold is None else (rows,)) + grid.x.shape
-    return float(out[0, 0]) if shape == () else out.reshape(shape)
+        out += np.multiply.outer(np.where(pos, 0.0, fold).sum(axis=-1) * rgs[0], grid.P[0])
+    return out
+
+
+def _sine_sums(grid: _Grid, weights: np.ndarray, past: np.ndarray, split: int):
+    """weights @ sin(lam_m x) on the grid, as two arrays: the rows before
+    split and the rest.  The rows past the grid's sine rows (past) take one
+    _mode_sum, first, so that its buffers are gone before the sums are
+    allocated; the others take one product with the sine rows."""
+    tails = _mode_sum(grid, weights[past]) if past.any() else np.empty((0, grid.flat.size))
+    head = min(weights.shape[1], _ROW_CAP)
+    sums = []
+    for part, over, tail in zip(np.split(weights, [split]), np.split(past, [split]),
+                                np.split(tails, [past[:split].sum()])):
+        sums.append(part[:, :head] @ grid.sin[:head])
+        sums[-1][over] = tail
+    return sums
+
+
+def _time_rows(series: SineSeries, beta: float, t: np.ndarray, fold: np.ndarray, M: np.ndarray,
+               lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The (K R, modes) weights sum_q fold[k, r, q] c_m E(-lam_m^2 t[r, q]^alpha)
+    of _eval_rows, zero past M_r and where t = 0: one Mittag-Leffler call
+    at every (r, q, m <= M_r) with t > 0, in that order."""
+    K, R, Q = fold.shape
+    pos = t > 0.0
+    cE = np.zeros((R, Q, lam.size))
+    if pos.any():
+        counts = np.broadcast_to(M[:, None] + 1, t.shape)[pos]
+        mode = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        z = np.repeat(t[pos] ** series.alpha, counts) * (lam * lam)[mode]
+        E = mittag_leffler(series.alpha, beta, -z)
+        cE.reshape(-1)[np.repeat(np.flatnonzero(pos) * lam.size, counts) + mode] = c[mode] * E
+    return (fold.transpose(1, 0, 2) @ cE).transpose(1, 0, 2).reshape(K * R, lam.size)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +438,9 @@ class ProblemSpec:
     differentiating g.  f_regular, flux_regular and exact take the points x
     and a 1-D array of times t and return an array of shape t.shape +
     x.shape; f takes one time.  A source part with a time_fold(x, t, w)
-    method, sum_q w_q part(x, t_q), is folded by it in assemble_source.
+    method is folded by it in assemble_source: t is (rows, 8), one row of
+    Gauss times per interval, and the result holds per row sum_q w_q
+    part(x, t_q).  has_source says whether any source part is given.
     exact, u0_prime, f, f_regular, flux_regular may be None, but f and
     f_regular not both.  Inconsistent inputs are rejected here: alpha outside
     (0, 1], a T that is not positive and finite, an empty domain or one
@@ -435,30 +479,40 @@ class ProblemSpec:
             raise ValueError(f"unknown projection mode {self.default_projection!r}")
         if self.f is not None and self.f_regular is not None:
             raise ValueError("give the pointwise part as f or as f_regular, not both")
-        has_source = any(fn is not None for fn in (self.f, self.f_regular, self.flux_regular))
-        if has_source and float(self.rho or 0.0) <= -1.0:
+        if self.has_source and float(self.rho or 0.0) <= -1.0:
             raise ValueError(f"temporal exponent rho = {self.rho} is not integrable")
+
+    @property
+    def has_source(self) -> bool:
+        return any(fn is not None for fn in (self.f, self.f_regular, self.flux_regular))
 
 
 class _SeriesFlux:
     """flux_regular (sin t - x) V of a series problem, whose x-derivative is
-    f_regular = (sin t - x) V_x - V.  time_fold(x, t, w) = sum_q w_q (sin t_q
-    - x) V(x, t_q) is B - x A, A and B one evaluation of V folded by the rows
-    w and w sin t; as a method, functools.wraps copies it to no wrapper."""
+    f_regular = (sin t - x) V_x - V.  For t of shape (rows, Q) and weights
+    w (Q,) or t's shape, time_fold(x, t, w) gives per row sum_q w_q (sin t_q
+    - x) V(x, t_q) = B - x A, A and B folded by w and w sin t: one
+    evaluation of V for all the rows, each row truncated at its own
+    smallest time.  As a method, functools.wraps copies it to no wrapper."""
 
     def __init__(self, series: SineSeries, grids: list):
         self.series, self.grids = series, grids
 
     def __call__(self, x, t):
         grid = _find_grid(self.grids, x, self.series)
-        v = _eval_structured(self.series, "v", grid, t)  # rejects bad t before sin sees it
-        return (np.sin(t).reshape(np.shape(t) + (1,) * grid.x.ndim) - grid.x) * v
+        ts = _times(t)
+        # one row with an identity fold, truncated at its smallest time: the
+        # batch time_fold evaluates for the same interval
+        v = _eval_rows(self.series, "v", grid, ts.reshape(1, -1), np.eye(ts.size)[:, None, :])[:, 0]
+        return (np.sin(ts).reshape(ts.shape + (1,) * grid.x.ndim) - grid.x) * v.reshape(ts.shape + grid.x.shape)
 
     def time_fold(self, x, t, w):
         grid = _find_grid(self.grids, x, self.series)
-        A, B = _eval_structured(self.series, "v", grid, t, np.vstack([w, w * np.sin(t)]))
-        B -= grid.x * A
-        return B
+        ts = _times(t)
+        A, B = _eval_rows(self.series, "v", grid, ts, np.stack([np.broadcast_to(w, ts.shape), w * np.sin(ts)]))
+        A *= grid.flat
+        B -= A
+        return B.reshape(ts.shape[:-1] + grid.x.shape)
 
 
 def _series_problem(name: str, series: SineSeries, default_projection: str) -> ProblemSpec:
@@ -467,7 +521,12 @@ def _series_problem(name: str, series: SineSeries, default_projection: str) -> P
     grids: list = []  # shared by exact and flux_regular
 
     def exact(x, t):
-        return _eval_structured(series, "u", _find_grid(grids, x, series), t)
+        # one row per time, each with its own truncation
+        grid = _find_grid(grids, x, series)
+        ts = _times(t)
+        u = _eval_rows(series, "u", grid, ts.reshape(-1, 1), np.ones((1, ts.size, 1)))[0]
+        shape = ts.shape + grid.x.shape
+        return float(u[0, 0]) if shape == () else u.reshape(shape)
 
     return ProblemSpec(
         name=name,

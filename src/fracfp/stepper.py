@@ -7,11 +7,15 @@ convolution history of increments, solve the tridiagonal system, advance.
 
 The history sum is exact and runs in blocks of _BLOCK steps (see step), so
 the stored increments are read once per block rather than once per step.
-Increments and trajectory share one (N+1) x (M_x+1) buffer.
+The source loads come per block too: assemble_source takes arrays of
+interval ends, and the first step of a block assembles the loads of all
+its steps at once (nothing for a sourceless problem).  Increments and
+trajectory share one (N+1) x (M_x+1) buffer.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -88,18 +92,20 @@ class Trajectory:
 @dataclass(eq=False)
 class SolverState:
     """One solve's mutable state, built from (problem, config) alone: step
-    reads nothing else.  Derived: the completed step count n, the solution
+    reads nothing else, and problem and config cannot be reassigned (build a
+    new state instead).  Derived: the completed step count n, the solution
     at the unknowns (updated in place), increments, the mass matrix, K and
     the diffusion floor (from one kappa sample on SpatialMesh.gauss2), the
     weights, the drift at t_n on gauss2 (None without drift) and the open
-    history block (None before the first step).  Compares by identity.
+    block (None before the first step).  Compares by identity.
 
     W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
     nodal U^0 and row n the increment W^n = U^n - U^(n-1) at the unknowns
     (Dirichlet boundary columns stay zero).  solve sums it in place into the
     trajectory U^0..U^N.  For the steps s..s+_BLOCK-1 of the open block,
-    _hist_old[n-s] is sum_{j<s} (w_{n,j}/tau_j) W^j and _hist_tail[n-s, :n-s]
-    are the weights w_{n,j}/tau_j for j = s..n-1.
+    _hist_old[n-s] is sum_{j<s} (w_{n,j}/tau_j) W^j, _hist_tail[n-s, :n-s]
+    are the weights w_{n,j}/tau_j for j = s..n-1, and _loads[n-s] is the
+    load f^n at the unknowns (_loads stays None for a sourceless problem).
 
     Raises ValueError when config.alpha and problem.alpha differ (scheme,
     source and exact solution share one order), when the spatial mesh's
@@ -119,6 +125,13 @@ class SolverState:
     _drift: object = field(init=False)
     _hist_old: np.ndarray = field(init=False, default=None)
     _hist_tail: np.ndarray = field(init=False, default=None)
+    _loads: np.ndarray = field(init=False, default=None)
+
+    def __setattr__(self, name, value):
+        # W, weights, K and the loads were derived from the first values
+        if name in ("problem", "config") and name in self.__dict__:
+            raise AttributeError(f"SolverState.{name} is fixed when the state is built")
+        super().__setattr__(name, value)
 
     def __post_init__(self):
         problem, config = self.problem, self.config
@@ -143,40 +156,46 @@ class SolverState:
 
 
 def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
-    """Full nodal vector with components int_{I_n} <f, phi_p> dt.
+    """Full nodal vectors with components int_{I_n} <f, phi_p> dt.
 
+    interval is (t0, t1): two numbers, or two arrays of interval ends of one
+    shape, which give one vector per interval (shape t0.shape + (M_x+1,)).
     The source is f = t**rho (f_regular + d/dx flux_regular), with smooth
     f_regular and flux_regular (problems declare rho; 0 means none), or the
     pointwise f, singular factor included.  The flux part is assembled as
     -<g, phi_p'> + [g phi_p]_a^b, so g is never differentiated; it is sampled
     on spatial.load_x (the Gauss points, then a and b), f and f_regular on
     the Gauss points.  The time rule, 8-point Gauss in s = t**(rho+1), is
-    folded in one place: by a part's own time_fold method (the series
-    fluxes: one evaluation per interval), else after one batched call (f:
-    one call per time node).  Space uses 4-point Gauss per element; under
-    Dirichlet conditions to_dof drops the boundary rows, end terms included.
-    The tests check the result against adaptive quadrature.  ProblemSpec
-    rejects rho <= -1 (non-integrable) when it is built.
+    folded in one place: by a part's own time_fold method, given the
+    (intervals, 8) Gauss times (the series fluxes: one evaluation for all
+    the intervals, each interval its own row), else after one batched call
+    with all the intervals' times (f: one call per time).  Space uses
+    4-point Gauss per element; under Dirichlet conditions to_dof drops the
+    boundary rows, end terms included.  The tests check the result against
+    adaptive quadrature.  ProblemSpec rejects rho <= -1 (non-integrable)
+    when it is built.
     """
-    t0, t1 = interval
-    if not 0.0 <= t0 < t1:
-        raise ValueError(f"bad time interval ({t0}, {t1})")
-    if all(fn is None for fn in (problem.f, problem.f_regular, problem.flux_regular)):
-        return np.zeros(spatial.M_x + 1)
+    t0, t1 = np.broadcast_arrays(*(np.asarray(end, dtype=float) for end in interval))
+    if not np.all((0.0 <= t0) & (t0 < t1) & (t1 < math.inf)):
+        raise ValueError(f"bad time interval ({interval[0]}, {interval[1]})")
+    if not problem.has_source:
+        return np.zeros(t0.shape + (spatial.M_x + 1,))
     rho = float(problem.rho or 0.0)
     q = rho + 1.0
     # s = t**(rho+1) absorbs the endpoint singularity and, on graded meshes,
     # straightens the near-origin stretching that defeats rules in t itself
     s0, s1 = t0**q, t1**q
     shalf = 0.5 * (s1 - s0)
-    svals = 0.5 * (s0 + s1) + shalf * _GL8_X
-    tvals = svals ** (1.0 / q)
+    tvals = ((0.5 * (s0 + s1))[..., None] + shalf[..., None] * _GL8_X) ** (1.0 / q)
+    rows = tvals.reshape(-1, _GL8_X.size)
 
     def fold(fn, x, w=_GL8_W):
-        # sum_q w_q fn(x, t_q); a series flux folds w into its own evaluation
+        # sum_q w_q fn(x, t_q) per interval; a series flux folds w into its
+        # own evaluation
         if hasattr(fn, "time_fold"):
-            return fn.time_fold(x, tvals, w)
-        return np.tensordot(w, np.asarray(fn(x, tvals), dtype=float), axes=(0, 0))
+            return fn.time_fold(x, rows, w)
+        vals = np.asarray(fn(x, rows.ravel()), dtype=float).reshape(rows.shape + (-1,))
+        return (np.broadcast_to(w, rows.shape)[:, None, :] @ vals)[:, 0]
 
     quad_x = spatial.load_x[:-2]
     values = flux = ends = None
@@ -184,11 +203,12 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
         values = fold(problem.f_regular, quad_x)
     elif problem.f is not None:  # one time per call, t**rho included
         values = fold(lambda x, ts: [np.broadcast_to(problem.f(x, tv), x.shape) for tv in ts],
-                      quad_x, _GL8_W * tvals ** (-rho))
+                      quad_x, _GL8_W * rows ** (-rho))
     if problem.flux_regular is not None:
         g = fold(problem.flux_regular, spatial.load_x)
-        flux, ends = g[:-2], g[-2:]
-    return load_from_values(spatial, values, flux, ends) * (shalf / q)
+        flux, ends = g[:, :-2], g[:, -2:]
+    load = load_from_values(spatial, values, flux, ends) * (shalf.reshape(-1, 1) / q)
+    return load.reshape(t0.shape + (spatial.M_x + 1,))
 
 
 def init_state(problem, config: SolverConfig) -> SolverState:
@@ -196,16 +216,20 @@ def init_state(problem, config: SolverConfig) -> SolverState:
     return SolverState(problem, config)
 
 
-def _open_block(state: SolverState, tmesh: GradedMesh, W: np.ndarray, s: int) -> None:
+def _open_block(state: SolverState, W: np.ndarray, s: int) -> None:
     """Weights of steps s..s+_BLOCK-1 (one row call each) and their history
     over W^1..W^{s-1} (W: the increment buffer at the unknowns), summed in
-    one matrix product."""
+    one matrix product; and their loads, in one assemble_source call."""
+    problem, tmesh = state.problem, state.config.mesh
     ms = range(s, min(s + _BLOCK, tmesh.N + 1))
     coeff = np.zeros((len(ms), s - 1 + len(ms)))
     for i, m in enumerate(ms):
         coeff[i, : m - 1] = state._cw.row(m) / tmesh.steps[: m - 1]
     state._hist_old = coeff[:, : s - 1] @ W[1:s]
     state._hist_tail = coeff[:, s - 1 :]
+    if problem.has_source:
+        ends = tmesh.nodes[s - 1 : ms.stop]
+        state._loads = to_dof(assemble_source(problem, state.config.spatial, (ends[:-1], ends[1:])), problem.bc)
 
 
 def step(state: SolverState) -> SolverState:
@@ -221,7 +245,10 @@ def step(state: SolverState) -> SolverState:
     weight rows of all the block's steps and sums their history over the
     increments stored before the block in one matrix product, so the stored
     increments are read once per block; each step then adds at most
-    _BLOCK - 1 terms over the block's own increments.
+    _BLOCK - 1 terms over the block's own increments.  The same first step
+    assembles the loads f^n of all the block's steps in one assemble_source
+    call (one series evaluation for the built-in problems), and each step
+    reads its own.
 
     Raises FloatingPointError, naming n and t_n, if W^n is not finite.
     """
@@ -229,7 +256,7 @@ def step(state: SolverState) -> SolverState:
     n = state.n + 1
     if n > tmesh.N:
         raise IndexError(f"trajectory already complete at N = {tmesh.N}")
-    t0, t1 = tmesh.nodes[n - 1], tmesh.nodes[n]
+    t1 = tmesh.nodes[n]
 
     bc = problem.bc
     G, F, drift = state._K, problem.drift, None
@@ -238,17 +265,18 @@ def step(state: SolverState) -> SolverState:
         G = G.plus_scaled(drift_band(space, bc, 0.5 * (state._drift + drift)), 1.0)
     S = state._mass.plus_scaled(G, state._cw.d(n))
 
-    fvec = to_dof(assemble_source(problem, space, (t0, t1)), bc)
-
     W = state.W[:, dof_slice(bc)]
     s = n - (n - 1) % _BLOCK
     if s == n:
-        _open_block(state, tmesh, W, s)
+        _open_block(state, W, s)
     i = n - s
     hist = state._cw.w0(n) * W[0] + (
         state._hist_old[i] + state._hist_tail[i, :i] @ W[s:n])
 
-    Wn = thomas_solve(S, fvec - G.matvec(hist))
+    rhs = -G.matvec(hist)
+    if state._loads is not None:
+        rhs += state._loads[i]
+    Wn = thomas_solve(S, rhs)
     if not np.isfinite(Wn).all():
         raise FloatingPointError(f"non-finite solution at step n = {n}, t_n = {t1:.6g}")
     W[n] = Wn
@@ -261,7 +289,8 @@ def step(state: SolverState) -> SolverState:
 def solve(problem, config: SolverConfig) -> Trajectory:
     """Run the full L1 sweep: O(N^2 d_h) time, with the stored increments
     read once per block of _BLOCK steps; memory is one (N+1) x (M_x+1)
-    buffer, whose increment rows become the trajectory in place.
+    buffer, whose increment rows become the trajectory in place, and the
+    open block's weights and loads.
 
     After the sweep, emits a UserWarning (never an error) when the mesh
     fails the sufficient step-size condition for the discrete stability

@@ -4,8 +4,10 @@ Everything here runs on different machinery than the library (mpmath
 arbitrary precision, QUADPACK adaptive quadrature, dense linear algebra),
 so agreement between the two routes is meaningful evidence and never a
 tautology.  The one exception is structured_eval_per_term, a reference for
-a rearrangement of arithmetic: it reuses the library's truncation, mode sum
-and closed forms on purpose, so that only the rearranged step differs.
+a rearrangement of arithmetic: it reuses the library's mode sum and closed
+forms on purpose, so that only the rearranged step differs.  It takes its
+truncation from choose_mk_oracle, the scalar per-time form of the
+library's vectorized truncation choice, in plain float arithmetic.
 lattice_sum_oracle takes the lattice spacing and offsets the library found,
 to name the exact points it sums at, but sums by direct sines.
 """
@@ -133,9 +135,70 @@ def series_u_oracle(amplitude: float, power: int, alternating: bool,
     return total + comp
 
 
+def _modes_for_oracle(C: float, e: float) -> int:
+    """Smallest M with C * pi**-e * (2M+1)**(1-e) / (2(e-1)) <= 1."""
+    rhs = C * math.pi ** (-e) / (2.0 * (e - 1.0))
+    if rhs <= 1.0:
+        return 0
+    return int(math.ceil((rhs ** (1.0 / (e - 1.0)) - 1.0) / 2.0))
+
+
+def choose_mk_oracle(series, beta: float, t: float):
+    """(M, terms) of problems._choose_mk for one time t > 0, one order J and
+    one term k at a time in Python floats; terms lists the kept orders.
+    Raises problems.TruncationError where the library does."""
+    from fracfp import problems
+
+    alpha = series.alpha
+    A = abs(series.amplitude)
+    p = series.power
+    env, rgs, pmax = series.consts[beta]
+    best = None
+    for J in range(len(env)):
+        e_env = p + 2 * (J + 1)
+        try:
+            c_env = env[J] * t ** (-alpha * (J + 1)) * A / (0.5 * problems._TAIL_TOL)
+        except OverflowError:
+            continue
+        if not math.isfinite(c_env):
+            continue
+        m_req = _modes_for_oracle(c_env, e_env)
+        terms = []
+        feasible = True
+        for k in range(1, J + 1):
+            rg = abs(rgs[k])
+            if rg == 0.0:
+                continue
+            noise = t ** (-alpha * k) * 5.0e-16 * pmax[k] * rg
+            if noise <= 0.1 * problems._TAIL_TOL:
+                terms.append(k)
+            else:
+                c_kill = rg * t ** (-alpha * k) * A / (0.1 * problems._TAIL_TOL)
+                if not math.isfinite(c_kill):
+                    feasible = False
+                    break
+                m_req = max(m_req, _modes_for_oracle(c_kill, p + 2 * k))
+        if not feasible:
+            continue
+        if best is None or m_req < best[0]:
+            best = (m_req, terms)
+    if best is None or best[0] > problems._M_MAX:
+        raise problems.TruncationError(f"series needs more modes at t = {t:g}")
+    m_fin, terms = best
+    kept = []
+    for k in terms:
+        e_k = p + 2 * k
+        size = (abs(rgs[k]) * t ** (-alpha * k) * A * math.pi ** (-e_k)
+                * (2.0 * m_fin + 1.0) ** (1 - e_k) / (2.0 * (e_k - 1.0)))
+        if size > 0.02 * problems._TAIL_TOL:
+            kept.append(k)
+    return m_fin, kept
+
+
 def structured_eval_per_term(series, kind: str, grid, t) -> np.ndarray:
-    """problems._eval_structured at positive times, corrections added one
-    term at a time.
+    """The series at positive times t as one row of the library's row
+    evaluator (identity fold, truncation at the smallest time), corrections
+    added one term at a time.
 
     Each correction term k evaluates its closed form P_k afresh and adds
     (-1)^(k+1) rgamma(beta - alpha k) t**(-alpha k) (P_k - partial) to the
@@ -148,7 +211,7 @@ def structured_eval_per_term(series, kind: str, grid, t) -> np.ndarray:
     tp = np.atleast_1d(np.asarray(t, dtype=float))
     alpha = series.alpha
     beta = 1.0 if kind == "u" else alpha
-    M, terms = problems._choose_mk(series, beta, float(tp.min()))
+    M, terms = choose_mk_oracle(series, beta, float(tp.min()))
     m = np.arange(M + 1)
     lam = (2.0 * m + 1.0) * math.pi
     c = series.coeffs(m)

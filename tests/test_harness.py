@@ -69,9 +69,10 @@ def test_compute_errors_needs_exact():
 
 
 def test_compute_errors_one_exact_call_per_block_of_times():
-    # 20 time levels in blocks of 8: three calls, each with a 1-D array of
-    # times; the errors match per-time calls up to the series tail bound,
-    # since a block takes its truncation at its smallest time
+    # 20 time levels in blocks of 32: one call with a 1-D array of times;
+    # the errors match per-time calls within the series tail bound (each
+    # time is truncated on its own, but one batch of Mittag-Leffler values
+    # rounds differently from many)
     prob = example1(0.7)
     space = uniform_mesh(0.0, 1.0, 40)
     traj = solve(prob, SolverConfig(alpha=0.7, mesh=build_mesh(prob.T, 20, 1.6), spatial=space))
@@ -82,7 +83,7 @@ def test_compute_errors_one_exact_call_per_block_of_times():
         return prob.exact(x, t)
 
     eps, weps, trace = compute_errors(traj, dataclasses.replace(prob, exact=counted))
-    assert shapes == [(8,), (8,), (4,)]
+    assert shapes == [(20,)]
     loop = np.array([l2_norm(traj.values[n] - prob.exact(space.nodes, float(t)), space)
                      for n, t in enumerate(traj.times[1:], start=1)])
     tol = 2.0 * problems._TAIL_TOL

@@ -385,6 +385,15 @@ def test_ml_spectral_buffer_is_bounded():
     assert peak < 100e6, peak
 
 
+def test_ml_hankel_chunks_match_one_chunk(monkeypatch):
+    # the points go through in chunks of _HANKEL_BUF // nodes rows; chunked,
+    # each value is the one a single chunk gives
+    z = np.logspace(0.01, 9, 3 * (kernels._HANKEL_BUF // kernels._DE_T.size) + 17)
+    got = kernels._ml_hankel(0.6, 0.6, z)
+    monkeypatch.setattr(kernels, "_HANKEL_BUF", z.size * kernels._DE_T.size)
+    np.testing.assert_allclose(got, kernels._ml_hankel(0.6, 0.6, z), rtol=1e-15, atol=0)
+
+
 def test_ml_monotone_decay():
     # complete monotonicity on the negative axis (beta = 1): decreasing, positive
     x = np.logspace(-4, 6, 200)

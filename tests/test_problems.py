@@ -9,6 +9,7 @@ from scipy import integrate
 from fracfp import problems
 from fracfp import (
     TruncationError,
+    build_mesh,
     example1,
     example2,
     mittag_leffler,
@@ -17,6 +18,7 @@ from fracfp import (
 )
 
 from oracles import (
+    choose_mk_oracle,
     frac_integral_oracle,
     lattice_sum_oracle,
     series_u_oracle,
@@ -281,7 +283,9 @@ def test_returned_exact_cannot_change_later_calls():
 
 
 def test_one_mode_sum_per_evaluation(monkeypatch):
-    # time rows and correction rows share a single mode sum
+    # rows within the grid's sine rows take one product with those rows;
+    # the rows past them, time rows and correction rows alike, share a
+    # single mode sum
     calls = []
     inner = problems._mode_sum
 
@@ -292,11 +296,14 @@ def test_one_mode_sum_per_evaluation(monkeypatch):
     monkeypatch.setattr(problems, "_mode_sum", counted)
     prob = example1(0.45)
     x = np.linspace(0.0, 1.0, 11)
-    ts = np.array([1e-3, 0.2, 0.9])
-    prob.flux_regular(x, ts)
-    prob.exact(x, 1e-6)
-    # one call each, carrying correction rows after the time rows
-    assert len(calls) == 2 and calls[0][0] > ts.size and calls[1][0] > 1
+    prob.flux_regular(x, np.array([1e-3, 0.2, 0.9]))
+    assert calls == []
+    ts = np.array([1e-10, 1e-3, 0.2, 0.9])
+    prob.exact(x, ts)
+    M, kept = problems._choose_mk(prob.flux_regular.series, 1.0, ts)
+    assert M[0] > problems._ROW_CAP and (M[1:] < problems._ROW_CAP).all()
+    # the first time's row, then its correction rows
+    assert calls == [(1 + kept[0].sum(), M[0] + 1)]
 
 
 def test_streamed_modes_match_direct_sum():
@@ -416,20 +423,23 @@ _SWEEP_TIMES = np.logspace(-10, 0, 21)
 
 @pytest.mark.parametrize("name", ["ex1", "ex2"])
 def test_corrections_match_per_term_oracle(name):
-    # the corrections go in as one (times x terms) product; adding them one
-    # outer product at a time gives the same values to rounding
+    # the corrections go in as one (rows x pairs) product; adding them one
+    # outer product at a time gives the same values to rounding, for one
+    # row of all the times (an identity fold, one truncation) and for one
+    # row per time (each its own truncation)
     x = np.linspace(0.0, 1.0, 201)
+    n = _SWEEP_TIMES.size
     for alpha in _SWEEP_ALPHAS:
         for kind in "uv":
             series = _series(name, alpha)
             grid = problems._find_grid([], x, series)
-            got = problems._eval_structured(series, kind, grid, _SWEEP_TIMES)
+            got = problems._eval_rows(series, kind, grid, _SWEEP_TIMES[None, :], np.eye(n)[:, None, :])
             want = structured_eval_per_term(series, kind, grid, _SWEEP_TIMES)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-            for t in _SWEEP_TIMES:
-                got = problems._eval_structured(series, kind, grid, float(t))
+            np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-15)
+            got = problems._eval_rows(series, kind, grid, _SWEEP_TIMES[:, None], np.ones((1, n, 1)))
+            for t, row in zip(_SWEEP_TIMES, got[0]):
                 want = structured_eval_per_term(series, kind, grid, float(t))[0]
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(row, want, rtol=0, atol=1e-15)
 
 
 @pytest.fixture
@@ -508,6 +518,43 @@ def test_choose_mk_needs_no_gamma_after_build(monkeypatch, name):
             for t in _SWEEP_TIMES:
                 problems._choose_mk(s, beta, float(t))
     assert calls == []
+
+
+@pytest.mark.parametrize("name, alphas, gammas, Ns", [
+    ("ex1", [0.7], [1.0, 1.6, 2.3], [16, 32, 64, 128, 256]),
+    ("ex2", [0.6], [3.3], [256]),
+    ("ex2", [0.4], [5.0], [256]),
+])
+def test_choose_mk_rows_match_scalar_oracle(monkeypatch, name, alphas, gammas, Ns):
+    # every row a study truncates, source steps and exact time levels
+    # alike, gets the (M, terms) of a scalar choice at that row's time
+    seen = []
+    inner = problems._choose_mk
+
+    def recorded(series, beta, t):
+        M, kept = inner(series, beta, t)
+        seen.extend((series, beta, ti, m, list(np.flatnonzero(k))) for ti, m, k in zip(t, M, kept))
+        return M, kept
+
+    monkeypatch.setattr(problems, "_choose_mk", recorded)
+    report = run_study(name, alphas, gammas, Ns, elements=20)
+    assert report.ok
+    # a source row per step, at its smallest Gauss time (the rule's first
+    # node in s = t**alpha), and an exact row per time level
+    alpha = alphas[0]
+    x0 = np.polynomial.legendre.leggauss(8)[0][0]
+    gauss, levels = [], []
+    for gamma in sorted(gammas):
+        for N in sorted(Ns):
+            s = build_mesh(1.0, N, gamma).nodes ** alpha
+            gauss.append((0.5 * (s[:-1] + s[1:]) + 0.5 * (s[1:] - s[:-1]) * x0) ** (1.0 / alpha))
+            levels.append(build_mesh(1.0, N, gamma).nodes[1:])
+    for beta, want in ((alpha, gauss), (1.0, levels)):
+        got = [t for _, b, t, _, _ in seen if b == beta]
+        np.testing.assert_allclose(got, np.concatenate(want), rtol=1e-14, atol=0)
+    assert len(seen) == 2 * len(gammas) * sum(Ns)
+    for series, beta, t, M, terms in seen:
+        assert (M, terms) == choose_mk_oracle(series, beta, float(t)), (series.alpha, beta, t)
 
 
 @pytest.mark.parametrize("count", [problems._ROW_CAP + 1, 100, 256])

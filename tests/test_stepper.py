@@ -152,6 +152,27 @@ def test_source_plain_path_matches_batched():
         np.testing.assert_allclose(a, b, atol=1e-12 * np.abs(a).max())
 
 
+@pytest.mark.parametrize("part", ["f", "f_regular", "flux_regular", "series"])
+def test_source_takes_arrays_of_interval_ends(part):
+    # one vector per interval, each the vector of that interval alone
+    g = lambda x, t: np.exp(-x) * np.cos(3.0 * t) + x * x * t
+    if part == "series":
+        prob = example2(0.4)
+    elif part == "f":
+        prob = make_problem(rho=-0.5, f=lambda x, t: t ** -0.5 * g(x, t))
+    else:
+        prob = make_problem(rho=-0.5, **{part: _batched(g)})
+    space = uniform_mesh(0.0, 1.0, 12)
+    nodes = build_mesh(1.0, 8, 3.0).nodes
+    got = assemble_source(prob, space, (nodes[:-1].reshape(2, 4), nodes[1:].reshape(2, 4)))
+    assert got.shape == (2, 4, space.M_x + 1)
+    for n, row in enumerate(got.reshape(8, -1), start=1):
+        want = assemble_source(prob, space, (nodes[n - 1], nodes[n]))
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    sourceless = assemble_source(make_problem(), space, (nodes[:-1], nodes[1:]))
+    np.testing.assert_array_equal(sourceless, np.zeros((8, space.M_x + 1)))
+
+
 def test_flux_source_is_load_of_derivative():
     # -<g, phi'> + [g phi] = <g', phi> exactly for a cubic g, boundary rows
     # included; g(0) = 1 and g(1) = 0.5, so the boundary term is needed there
@@ -195,10 +216,12 @@ def _gauss_times(interval, q):
 
 @pytest.mark.parametrize("exact", ["own", "replaced"])
 def test_series_source_is_one_folded_evaluation(monkeypatch, exact):
-    # the 8 Gauss times fold into the two weight rows w and w sin t before
-    # the mode sum, also after dataclasses.replace of exact; evaluated per
-    # time, the sum would carry 8 + len(terms) rows
-    calls = {"mittag_leffler": [], "_mode_sum": [], "_choose_mk": []}
+    # a solve evaluates the series source once per block of _BLOCK steps,
+    # also after dataclasses.replace of exact: one Mittag-Leffler call on
+    # the 8 Gauss times of every step of the block, each step's modes cut at
+    # its own truncation, and the 8 times fold into the two weight rows w
+    # and w sin t of that step
+    calls = {"mittag_leffler": [], "_choose_mk": [], "_mode_sum": []}
 
     def counted(name, fn):
         def wrap(*args):
@@ -213,16 +236,19 @@ def test_series_source_is_one_folded_evaluation(monkeypatch, exact):
     prob = example1(0.7)
     if exact == "replaced":
         prob = replace(prob, exact=lambda x, t, own=prob.exact: own(x, t))
-    nodes = build_mesh(1.0, 64, 1.6).nodes
-    for n in (1, 2, 20):
-        for got in calls.values():
-            got.clear()
-        assemble_source(prob, uniform_mesh(0.0, 1.0, 200), (nodes[n - 1], nodes[n]))
-        assert [len(got) for got in calls.values()] == [1, 1, 1]
-        M, terms = calls["_choose_mk"][0][-1]
-        assert calls["_mode_sum"][0][1].shape == (2 + len(terms), M + 1)
-        assert calls["mittag_leffler"][0][2].size == 8 * (M + 1)
-        assert n == 1 or terms  # the corrections fold too
+    N = 64
+    solve(prob, SolverConfig(alpha=0.7, mesh=build_mesh(1.0, N, 1.6), spatial=uniform_mesh(0.0, 1.0, 200)))
+    assert len(calls["mittag_leffler"]) == len(calls["_choose_mk"]) == N // _BLOCK == 2
+    for ml, choice in zip(calls["mittag_leffler"], calls["_choose_mk"]):
+        M, kept = choice[-1]
+        assert M.shape == (_BLOCK,)
+        assert ml[2].size == 8 * (M + 1).sum()
+        assert kept[1:].any()  # the corrections fold too
+    # only the first step's modes run past the grid's sine rows: its two
+    # folded rows and its correction rows take the one mode sum there is
+    M, kept = calls["_choose_mk"][0][-1]
+    assert M[0] > problems._ROW_CAP and (M[1:] < problems._ROW_CAP).all()
+    assert [w.shape for _, w, _ in calls["_mode_sum"]] == [(2 + kept[0].sum(), M[0] + 1)]
 
 
 @pytest.mark.parametrize("make, alpha, gamma", [(example1, 0.7, 1.6), (example2, 0.4, 5.0)])
@@ -375,6 +401,58 @@ def test_one_solve_work_counts(monkeypatch):
     calls.clear()
     solve(prob, config)
     assert calls == {"assemble_G": 1, "kappa": 1, "drift": N + 1, "row": N}
+
+
+@pytest.mark.parametrize("make, alpha, gamma", [(example1, 0.7, 1.6), (example2, 0.4, 5.0)])
+def test_solve_matches_per_interval_loads(make, alpha, gamma):
+    # the loads of a block of steps come from one series evaluation; the
+    # direct solve assembles each step's load on its own
+    prob = make(alpha)
+    config = SolverConfig(alpha=alpha, mesh=build_mesh(1.0, 2 * _BLOCK + 5, gamma),
+                          spatial=uniform_mesh(0.0, 1.0, 200))
+    got = solve(prob, config).values
+    want = direct_l1_solve(prob, config)
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def test_sourceless_solve_makes_no_series_evaluation(monkeypatch):
+    # a series problem without its source: no load is assembled and the
+    # series is never evaluated, at any block
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(stepper, "assemble_source")
+    counted(problems, "mittag_leffler")
+    prob = replace(example1(0.7), flux_regular=None)
+    config = SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 2 * _BLOCK + 5, 1.6),
+                          spatial=uniform_mesh(0.0, 1.0, 50))
+    state = init_state(prob, config)
+    for _ in range(config.mesh.N):
+        step(state)
+        assert state._loads is None
+    assert calls == {}
+
+
+def test_state_problem_and_config_are_read_only():
+    # W, the weights, K and the loads derive from them when the state is built
+    prob = example1(0.7)
+    config = SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 16, 2.0), spatial=uniform_mesh(0.0, 1.0, 20))
+    state = init_state(prob, config)
+    with pytest.raises(AttributeError, match="config"):
+        state.config = replace(config, mesh=build_mesh(1.0, 16, 1.0))
+    with pytest.raises(AttributeError, match="problem"):
+        state.problem = example2(0.7)
+    assert state.problem is prob and state.config is config
+    for _ in range(16):
+        step(state)
+    np.testing.assert_array_equal(state.U_dof, solve(prob, config).values[-1, 1:-1])
 
 
 def test_ritz_solve_samples_kappa_once_on_gauss2():
