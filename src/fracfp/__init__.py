@@ -38,7 +38,7 @@ from .problems import (
     example1,
     example2,
 )
-from .stepper import SolverConfig, SolverState, Trajectory, assemble_source, init_state, solve, step
+from .stepper import SolverConfig, SolverState, Trajectory, assemble_source, solve, step
 from .timegrid import GradedMesh, build_mesh, check_step_assumption
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "compute_rate",
     "example1",
     "example2",
-    "init_state",
     "interp_probe",
     "l2_norm",
     "load_vector",

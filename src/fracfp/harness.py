@@ -282,6 +282,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--out", default=".", metavar="DIR",
                     help="output directory (default current directory)")
     args = ap.parse_args(argv)
+    if args.elements < 2:
+        ap.error(f"argument --elements: needs at least 2 elements, got {args.elements}")
 
     want_traces = args.trace or args.gnuplot
     report = run_study(args.problem, args.alpha, args.gamma, args.steps,

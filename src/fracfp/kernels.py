@@ -2,7 +2,8 @@
 
 Everything here lives on the negative real axis (Mittag-Leffler part) or on a
 graded mesh (quadrature weights), which is all the solver needs.  The hot
-paths are vectorized numpy.  mittag_leffler has three routes: exp for
+paths are vectorized numpy.  omega_increment is one nested closed form that
+never subtracts nearly equal powers.  mittag_leffler has three routes: exp for
 mu = beta = 1; otherwise a Taylor sum for 0 < -x <= 1 and, above it, one
 fixed double-exponential quadrature of the Hankel integral for every
 0 < mu <= 1 and beta > 0.  It is good to about 1e-14 relative for
@@ -29,13 +30,8 @@ __all__ = [
     "interp_probe",
 ]
 
-# 3-point Gauss-Legendre rule on [-1, 1], exact through degree 5.
-_GL3_X = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
-_GL3_W = np.array([5.0, 8.0, 5.0]) / 9.0
-
-# Switch from closed-form differences to Gauss quadrature (omega_increment)
-# or to a Taylor expansion (ConvolutionWeights.row) once the interval sits
-# this many widths away from the origin (or from the other interval).
+# ConvolutionWeights.row switches from four-term differences to a Taylor
+# expansion once I_j sits this many widths (tau_n + tau_j) before I_n.
 _FAR_RATIO = 100.0
 
 
@@ -66,10 +62,11 @@ def omega(beta: float, t):
 def omega_increment(beta: float, a, b):
     """Stable omega_beta(b) - omega_beta(a) for 0 <= a <= b.
 
-    The direct difference cancels catastrophically once [a, b] is far from
-    the origin relative to its width, so this switches to a 3-point Gauss
-    rule applied to the derivative kernel omega_{beta-1}.  Vectorized over
-    equally shaped ``a`` and ``b``.
+    For a > 0, the larger of the two terms times 1 - (a/b)**|beta - 1|, the
+    bracket taken as -expm1(-|beta - 1| log1p((b - a)/a)) (log b - log a
+    where (b - a)/a overflows): no nearly equal powers are subtracted.
+    a = 0 gives omega_beta(b) - omega_beta(0), beta = 1 exact zeros.
+    Vectorized over equally shaped ``a`` and ``b``.
     """
     if beta <= 0.0:
         raise ValueError(f"omega_increment requires beta > 0, got {beta}")
@@ -83,21 +80,16 @@ def omega_increment(beta: float, a, b):
     if beta < 1.0 and np.any(a == 0.0):
         raise ValueError("omega_increment at a = 0 needs beta >= 1")
 
-    width = b - a
-    far = (a > 0.0) & (a > _FAR_RATIO * width)
-    out = np.empty(a.shape)
-
-    near = ~far
-    if near.any():
-        rg = rgamma(beta)
-        out[near] = (b[near] ** (beta - 1.0) - a[near] ** (beta - 1.0)) * rg
-    if far.any():
-        mid = 0.5 * (a[far] + b[far])
-        half = 0.5 * width[far]
-        xs = mid[..., None] + half[..., None] * _GL3_X
-        # rgamma(0) = 0 handles beta = 1 (constant kernel, zero increment)
-        vals = xs ** (beta - 2.0) * rgamma(beta - 1.0)
-        out[far] = half * (vals @ _GL3_W)
+    if beta == 1.0:
+        return 0.0 if scalar else np.zeros(a.shape)
+    e = beta - 1.0
+    out = b**e * rgamma(beta)  # omega_beta(0) = 0 for beta > 1
+    pos = a > 0.0
+    ap, bp = a[pos], b[pos]
+    with np.errstate(over="ignore"):
+        lr = np.log1p((bp - ap) / ap)  # log(b/a)
+    lr = np.where(np.isinf(lr), np.log(bp) - np.log(ap), lr)
+    out[pos] = (out[pos] if e > 0.0 else -(ap**e) * rgamma(beta)) * -np.expm1(-abs(e) * lr)
     return float(out[0]) if scalar else out
 
 
@@ -196,8 +188,6 @@ _DE_P1 = 0.05
 # entries (4 MB)
 _HANKEL_BUF = 1 << 18
 
-_de_cache: dict = {}
-
 
 def _ml_taylor(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Plain Taylor sum of E_{mu,beta}(-z) for 0 < z <= 1."""
@@ -224,30 +214,25 @@ def _de_rule(mu: float, beta: float):
     denominator coefficients a (per node) and b, and complex weights w that
     carry rho**p e**(-u), the Jacobian and every constant factor.
     """
-    key = (mu, beta)
-    rule = _de_cache.get(key)
-    if rule is None:
-        # the smallest K with p + 1 >= _DE_P1; one more when the next term
-        # vanishes (beta - mu (K+1) a nonpositive integer, as for beta = mu),
-        # which the integral would otherwise cancel at large z
-        K = max(0, math.ceil((beta - 1.0 + _DE_P1) / mu) - 1)
-        if rgamma(beta - mu * (K + 1)) == 0.0:
-            K += 1
-        p = mu * (K + 1) - beta
-        k = np.arange(K + 1)
-        c = np.where(k % 2 == 1, 1.0, -1.0) * rgamma(beta - mu * k)
-        c[0] = 0.0
-        # u = rho e**(-i pi/4): the only pole, at angle pi (1 - mu)/mu, stays
-        # at least pi/4 off the ray for every mu, so one step serves all mu
-        rot = cmath.exp(-0.25j * math.pi)
-        lnr = _DE_T - np.exp(-_DE_T)
-        rho = np.exp(lnr)
-        logw = math.log(_DE_H) + np.log1p(np.exp(-_DE_T)) + (p + 1.0) * lnr - rho * rot
-        const = -((-1.0) ** K) / math.pi * cmath.exp(1j * math.pi * (mu * K - beta))
-        w = const * rot ** (p + 1.0) * np.exp(logw)
-        rule = (K, c, rho**mu * rot**mu, cmath.exp(-1j * math.pi * mu), w)
-        _de_cache[key] = rule
-    return rule
+    # the smallest K with p + 1 >= _DE_P1; one more when the next term
+    # vanishes (beta - mu (K+1) a nonpositive integer, as for beta = mu),
+    # which the integral would otherwise cancel at large z
+    K = max(0, math.ceil((beta - 1.0 + _DE_P1) / mu) - 1)
+    if rgamma(beta - mu * (K + 1)) == 0.0:
+        K += 1
+    p = mu * (K + 1) - beta
+    k = np.arange(K + 1)
+    c = np.where(k % 2 == 1, 1.0, -1.0) * rgamma(beta - mu * k)
+    c[0] = 0.0
+    # u = rho e**(-i pi/4): the only pole, at angle pi (1 - mu)/mu, stays
+    # at least pi/4 off the ray for every mu, so one step serves all mu
+    rot = cmath.exp(-0.25j * math.pi)
+    lnr = _DE_T - np.exp(-_DE_T)
+    rho = np.exp(lnr)
+    logw = math.log(_DE_H) + np.log1p(np.exp(-_DE_T)) + (p + 1.0) * lnr - rho * rot
+    const = -((-1.0) ** K) / math.pi * cmath.exp(1j * math.pi * (mu * K - beta))
+    w = const * rot ** (p + 1.0) * np.exp(logw)
+    return K, c, rho**mu * rot**mu, cmath.exp(-1j * math.pi * mu), w
 
 
 def _ml_hankel(mu: float, beta: float, z: np.ndarray) -> np.ndarray:

@@ -443,10 +443,10 @@ class ProblemSpec:
     part(x, t_q).  has_source says whether any source part is given.
     exact, u0_prime, f, f_regular, flux_regular may be None, but f and
     f_regular not both.  Inconsistent inputs are rejected here: alpha outside
-    (0, 1], a T that is not positive and finite, an empty domain or one
-    with a non-finite end, a bc that is not a BcMode, an unknown
-    default_projection, and rho <= -1 (not integrable at t = 0) with any
-    source given.
+    (0, 1] or unequal to the .alpha a part states, a T that is not positive
+    and finite, an empty domain or one with a non-finite end, a bc that is
+    not a BcMode, an unknown default_projection, and rho <= -1 (not
+    integrable at t = 0) with any source given.
     """
 
     name: str
@@ -481,6 +481,10 @@ class ProblemSpec:
             raise ValueError("give the pointwise part as f or as f_regular, not both")
         if self.has_source and float(self.rho or 0.0) <= -1.0:
             raise ValueError(f"temporal exponent rho = {self.rho} is not integrable")
+        for name in ("f", "f_regular", "flux_regular", "exact"):
+            built = getattr(getattr(self, name), "alpha", self.alpha)
+            if built != self.alpha:
+                raise ValueError(f"{name} was built for alpha = {built}, not alpha = {self.alpha}")
 
     @property
     def has_source(self) -> bool:
@@ -496,7 +500,7 @@ class _SeriesFlux:
     smallest time.  As a method, functools.wraps copies it to no wrapper."""
 
     def __init__(self, series: SineSeries, grids: list):
-        self.series, self.grids = series, grids
+        self.series, self.grids, self.alpha = series, grids, series.alpha
 
     def __call__(self, x, t):
         grid = _find_grid(self.grids, x, self.series)
@@ -528,6 +532,7 @@ def _series_problem(name: str, series: SineSeries, default_projection: str) -> P
         shape = ts.shape + grid.x.shape
         return float(u[0, 0]) if shape == () else u.reshape(shape)
 
+    exact.alpha = alpha  # functools.wraps copies it to a wrapper
     return ProblemSpec(
         name=name,
         alpha=alpha,

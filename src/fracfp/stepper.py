@@ -42,7 +42,6 @@ __all__ = [
     "SolverState",
     "Trajectory",
     "assemble_source",
-    "init_state",
     "step",
     "solve",
 ]
@@ -211,11 +210,6 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
     return load.reshape(t0.shape + (spatial.M_x + 1,))
 
 
-def init_state(problem, config: SolverConfig) -> SolverState:
-    """SolverState(problem, config): the state before the first step."""
-    return SolverState(problem, config)
-
-
 def _open_block(state: SolverState, W: np.ndarray, s: int) -> None:
     """Weights of steps s..s+_BLOCK-1 (one row call each) and their history
     over W^1..W^{s-1} (W: the increment buffer at the unknowns), summed in
@@ -299,7 +293,7 @@ def solve(problem, config: SolverConfig) -> Trajectory:
     floor the smallest kappa in the gauss2 sample K is assembled from.
     Filter it with warnings.filterwarnings("ignore", "time mesh violates").
     """
-    state = init_state(problem, config)
+    state = SolverState(problem, config)
     drift = problem.drift is not None
     c0 = float(np.abs(state._drift).max()) if drift else 0.0
     for _ in range(config.mesh.N):

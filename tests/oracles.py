@@ -241,6 +241,14 @@ def l1_weight_oracle(nodes: np.ndarray, alpha: float, n: int, j: int, dps: int =
         return float((f(tn - tjm1) - f(tnm1 - tjm1) - f(tn - tj) + f(tnm1 - tj)) / mp.gamma(e + 1))
 
 
+def omega_increment_oracle(beta: float, a: float, b: float, dps: int = 60) -> float:
+    """omega_beta(b) - omega_beta(a) at dps digits, with beta, a and b taken
+    exactly as the float64 values the library receives."""
+    with mp.workdps(dps):
+        e = mp.mpf(beta) - 1
+        return float((mp.mpf(b) ** e - mp.mpf(a) ** e) / mp.gamma(mp.mpf(beta)))
+
+
 def tridiag_dense(A) -> np.ndarray:
     """Dense copy of a TriDiagMatrix."""
     return np.diag(A.diag) + np.diag(A.sub, -1) + np.diag(A.sup, 1)

@@ -359,6 +359,17 @@ def test_cli_rejects_empty_lists(tmp_path, capsys, flag, text):
     assert not (tmp_path / "ex1_study.csv").exists()
 
 
+@pytest.mark.parametrize("elements", ["1", "0", "-3"])
+def test_cli_rejects_too_few_elements(tmp_path, capsys, elements):
+    # a P1 mesh needs two elements: an argument error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["--elements", elements, "--steps", "4", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"fracfp: error: argument --elements: needs at least 2 elements, got {elements}"
+    assert not (tmp_path / "ex1_study.csv").exists()
+
+
 def test_main_in_process(tmp_path):
     rc = main(["--problem", "ex2", "--alpha", "0.7", "--gamma", "3",
                "--steps", "4", "--elements", "25", "--out", str(tmp_path)])

@@ -18,7 +18,7 @@ from fracfp import (
     omega_increment,
 )
 
-from oracles import l1_weight_oracle, ml_oracle
+from oracles import l1_weight_oracle, ml_oracle, omega_increment_oracle
 
 
 # ---------------------------------------------------------------- omega
@@ -42,7 +42,7 @@ def test_omega_validation():
 
 
 def test_omega_increment_matches_direct():
-    # near intervals use the plain difference; verify both agree with mpmath
+    # intervals near the origin and far from it (relative to their width)
     import mpmath as mp
     beta = 1.7
     for a, b in [(0.0, 0.3), (0.5, 0.9), (10.0, 10.0001), (1e4, 1e4 + 1e-3)]:
@@ -53,7 +53,8 @@ def test_omega_increment_matches_direct():
 
 
 def test_omega_increment_cancellation_regime():
-    # the far-field branch must beat the naive difference once it cancels
+    # far from the origin relative to its width, the plain difference of
+    # powers cancels; the nested closed form must beat it
     beta = 1.3
     a, b = 1e8, 1e8 + 1e-6
     import mpmath as mp
@@ -74,6 +75,44 @@ def test_omega_increment_validation():
         omega_increment(1.5, 2.0, 1.0)
     with pytest.raises(ValueError):
         omega_increment(0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 1.0])
+def test_omega_increment_on_graded_meshes_matches_mpmath(alpha):
+    # w0's intervals [t_{n-1}, t_n]: past the first steps of a graded mesh
+    # t_{n-1} is far larger than tau_n, where a plain difference of powers
+    # loses digits
+    for gamma, N in [(1.0, 4096), (2.3, 256), (5.4, 1024), (16.0, 64), (16.0, 4096)]:
+        t = build_mesh(1.0, N, gamma).nodes
+        rows = np.unique(np.r_[np.geomspace(1, N, 40).astype(int), np.arange(1, N + 1, N // 30)])
+        got = omega_increment(alpha + 1.0, t[rows - 1], t[rows])
+        want = [omega_increment_oracle(alpha + 1.0, t[n - 1], t[n]) for n in rows]
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [1.0, 1.05, 1.3, 2.0, 3.0])
+@pytest.mark.parametrize("a, b", [(8.7e-311, 1.0), (1e-300, 1.0), (1e-150, 1e150),
+                                  (0.0, 1.0), (0.0, 0.0), (2.0, 2.0)])
+def test_omega_increment_extremes(beta, a, b):
+    # b/a past the float range, b/a = 1e300, a = 0 and a = b
+    got = omega_increment(beta, a, b)
+    assert math.isfinite(got)
+    if beta == 1.0:
+        assert got == 0.0
+    else:
+        want = omega_increment_oracle(beta, a, b)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta", [0.25, 0.5])
+@pytest.mark.parametrize("a, b", [(8.7e-311, 1.0), (1e-10, 1e300), (1e8, 1e8 + 1e-6)])
+def test_omega_increment_below_one(beta, a, b):
+    # omega_beta(a) is the larger term here, and the form is built on it;
+    # beta - 1 is exact for these beta, as the oracle assumes
+    want = omega_increment_oracle(beta, a, b)
+    assert abs(omega_increment(beta, a, b) - want) <= 1e-15 * abs(want)
 
 
 # ------------------------------------------------------- convolution weights
@@ -98,7 +137,7 @@ def test_weights_positive_and_telescoping(alpha, gamma):
        data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_weights_positive_and_telescoping_property(alpha, gamma, N, data):
-    # the last row reaches deepest into the far-field (Gauss) branch
+    # the last row reaches deepest into the far-field expansion of row
     mesh = build_mesh(1.0, N, gamma)
     t = mesh.nodes
     for n in {N, data.draw(st.integers(min_value=2, max_value=N), label="n")}:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -596,3 +598,16 @@ def test_validation():
     prob = example1(0.5)
     with pytest.raises(ValueError):
         prob.exact(np.array([0.5]), -0.5)
+
+
+@pytest.mark.parametrize("make", [example1, example2])
+def test_replaced_alpha_is_rejected(make):
+    # exact and flux_regular keep the series of the alpha they were built for
+    prob = make(0.7)
+    with pytest.raises(ValueError, match=r"alpha = 0\.7, not alpha = 0\.5"):
+        dataclasses.replace(prob, alpha=0.5)
+    # a functools.wraps wrapper carries the stated alpha over, and a part
+    # that states none is accepted
+    wrapped = functools.wraps(prob.exact)(lambda x, t: prob.exact(x, t))
+    assert dataclasses.replace(prob, exact=wrapped).exact.alpha == 0.7
+    assert dataclasses.replace(prob, exact=lambda x, t: 0.0 * x).alpha == 0.7

@@ -23,7 +23,6 @@ from fracfp import (
     check_step_assumption,
     example1,
     example2,
-    init_state,
     load_vector,
     project_initial,
     solve,
@@ -299,7 +298,7 @@ def test_nonfinite_state_names_step():
     prob = make_problem(f=lambda x, t: np.full(np.shape(x), np.nan if t > 0.5 else 1.0))
     config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, 8, 1.0),
                           spatial=uniform_mesh(0.0, 1.0, 8))
-    state = init_state(prob, config)
+    state = SolverState(prob, config)
     for _ in range(4):
         step(state)
     assert np.isfinite(state.U_dof).all()
@@ -391,7 +390,7 @@ def test_one_solve_work_counts(monkeypatch):
     N = 2 * _BLOCK + 5
     config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, N, 2.0),
                           spatial=uniform_mesh(0.0, 1.0, 20))
-    state = init_state(prob, config)
+    state = SolverState(prob, config)
     at_init = dict(calls)
     for _ in range(N):
         state = step(state)
@@ -433,7 +432,7 @@ def test_sourceless_solve_makes_no_series_evaluation(monkeypatch):
     prob = replace(example1(0.7), flux_regular=None)
     config = SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 2 * _BLOCK + 5, 1.6),
                           spatial=uniform_mesh(0.0, 1.0, 50))
-    state = init_state(prob, config)
+    state = SolverState(prob, config)
     for _ in range(config.mesh.N):
         step(state)
         assert state._loads is None
@@ -444,7 +443,7 @@ def test_state_problem_and_config_are_read_only():
     # W, the weights, K and the loads derive from them when the state is built
     prob = example1(0.7)
     config = SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 16, 2.0), spatial=uniform_mesh(0.0, 1.0, 20))
-    state = init_state(prob, config)
+    state = SolverState(prob, config)
     with pytest.raises(AttributeError, match="config"):
         state.config = replace(config, mesh=build_mesh(1.0, 16, 1.0))
     with pytest.raises(AttributeError, match="problem"):
@@ -486,7 +485,7 @@ def test_stepping_by_hand_equals_solve(bc):
     config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, N, 2.5),
                           spatial=uniform_mesh(0.0, 1.0, 24))
     want = solve(prob, config).values
-    state = init_state(prob, config)
+    state = SolverState(prob, config)
     np.testing.assert_array_equal(state.W[0], want[0])
     for n in range(1, N + 1):
         step(state)
@@ -588,14 +587,14 @@ def test_init_state_and_overrides():
     prob = make_problem(alpha=0.5, u0=lambda x: x * (1.0 - x), default_projection="l2")
     space = uniform_mesh(0.0, 1.0, 16)
     config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 4, 1.0), spatial=space)
-    state = init_state(prob, config)
+    state = SolverState(prob, config)
     # l2 projection of a quadratic differs from its nodal samples
     assert np.abs(state.W[0] - prob.u0(space.nodes)).max() > 1e-6
     assert state.n == 0
 
     bad_space = uniform_mesh(0.0, 2.0, 16)
     with pytest.raises(ValueError):
-        init_state(prob, SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 4, 1.0),
+        SolverState(prob, SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 4, 1.0),
                                       spatial=bad_space))
 
 
@@ -603,7 +602,7 @@ def test_step_past_end_raises():
     prob = make_problem(alpha=0.5)
     config = SolverConfig(alpha=0.5, mesh=build_mesh(1.0, 2, 1.0),
                           spatial=uniform_mesh(0.0, 1.0, 8))
-    state = init_state(prob, config)
+    state = SolverState(prob, config)
     step(state)
     step(state)
     with pytest.raises(IndexError):
@@ -631,7 +630,7 @@ def test_alpha_mismatch_rejected():
     config = SolverConfig(alpha=0.4, mesh=build_mesh(1.0, 4, 1.0),
                           spatial=uniform_mesh(0.0, 1.0, 8))
     with pytest.raises(ValueError, match=r"config\.alpha = 0\.4 .* problem\.alpha = 0\.7"):
-        init_state(prob, config)
+        SolverState(prob, config)
     with pytest.raises(ValueError, match="alpha"):
         solve(prob, config)
 
@@ -641,10 +640,10 @@ def test_domain_ends_must_match():
     config = SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 4, 1.0),
                           spatial=uniform_mesh(0.0, 1.000009, 16))
     with pytest.raises(ValueError, match="does not cover"):
-        init_state(example1(0.7), config)
+        SolverState(example1(0.7), config)
     near = SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 4, 1.0),
                         spatial=uniform_mesh(0.0, 1.0 + 1e-15, 16))
-    assert init_state(example1(0.7), near).n == 0
+    assert SolverState(example1(0.7), near).n == 0
 
 
 def test_problem_rejects_nonintegrable_rho_when_built():
