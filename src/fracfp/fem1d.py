@@ -39,6 +39,10 @@ __all__ = [
 # 2-point and 4-point Gauss-Legendre rules on [-1, 1]
 _G2 = 1.0 / math.sqrt(3.0)
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+# drift_band's Gauss weights: -<F phi_L, phi_L'> = (1/h) int F phi_L, and the
+# rule's weight h/2 times phi_L = (1 +- _G2)/2 at the element's two Gauss
+# points gives 0.25 (1 +- _G2) per point; phi_R' flips the sign
+_DRIFT_NEAR, _DRIFT_FAR = 0.25 * (1.0 + _G2), 0.25 * (1.0 - _G2)
 _GTSV = scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
 
 
@@ -126,9 +130,10 @@ def dof_slice(bc: BcMode) -> slice:
     return slice(1, -1) if bc is BcMode.DIRICHLET else slice(0, None)
 
 
-def _restrict(full: TriDiagMatrix, bc: BcMode) -> TriDiagMatrix:
+def _bands(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, bc: BcMode) -> TriDiagMatrix:
+    """The band matrix on the unknowns, from bands over every node."""
     s = dof_slice(bc)
-    return TriDiagMatrix(full.sub[s], full.diag[s], full.sup[s])
+    return TriDiagMatrix(sub[s], diag[s], sup[s])
 
 
 def to_dof(v_full: np.ndarray, bc: BcMode) -> np.ndarray:
@@ -150,7 +155,7 @@ def assemble_mass(mesh: SpatialMesh, bc: BcMode) -> TriDiagMatrix:
     diag = np.full(mesh.M_x + 1, 2.0 * h / 3.0)
     diag[0] = diag[-1] = h / 3.0
     off = np.full(mesh.M_x, h / 6.0)
-    return _restrict(TriDiagMatrix(off, diag, off.copy()), bc)
+    return _bands(off, diag, off.copy(), bc)
 
 
 def _eval_on(fun, x: np.ndarray) -> np.ndarray:
@@ -165,14 +170,13 @@ def drift_band(mesh: SpatialMesh, bc: BcMode, values) -> TriDiagMatrix:
     """Matrix of -<F phi_q, phi_p'>, 2-point Gauss per element (exact for
     affine F); values holds F on mesh.gauss2, or one number."""
     d1, d2 = np.broadcast_to(np.asarray(values, dtype=float), mesh.gauss2.shape).reshape(2, -1)
-    # -<F phi_L, phi_L'> = +(1/h) int F phi_L with phi_L = (1 +- _G2)/2 at
-    # the two Gauss points, and phi_R' flips the sign
-    d_ll = 0.25 * (d1 * (1.0 + _G2) + d2 * (1.0 - _G2))
-    d_lr = 0.25 * (d1 * (1.0 - _G2) + d2 * (1.0 + _G2))
-    diag = np.zeros(mesh.M_x + 1)
-    diag[:-1] += d_ll
+    d_ll = _DRIFT_NEAR * d1 + _DRIFT_FAR * d2
+    d_lr = _DRIFT_FAR * d1 + _DRIFT_NEAR * d2
+    diag = np.empty(mesh.M_x + 1)
+    diag[:-1] = d_ll
+    diag[-1] = 0.0
     diag[1:] -= d_lr
-    return _restrict(TriDiagMatrix(-d_ll, diag, d_lr), bc)
+    return _bands(-d_ll, diag, d_lr, bc)
 
 
 def assemble_G(mesh: SpatialMesh, bc: BcMode, kappa) -> TriDiagMatrix:
@@ -188,7 +192,7 @@ def assemble_G(mesh: SpatialMesh, bc: BcMode, kappa) -> TriDiagMatrix:
     diag = np.zeros(mesh.M_x + 1)
     diag[:-1] += k_el
     diag[1:] += k_el
-    return _restrict(TriDiagMatrix(-k_el, diag, -k_el), bc)
+    return _bands(-k_el, diag, -k_el, bc)
 
 
 def l2_norm(values: np.ndarray, mesh: SpatialMesh) -> float:
@@ -237,12 +241,14 @@ def load_vector(g, mesh: SpatialMesh) -> np.ndarray:
 
 
 def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
-                    kappa=None, u0_prime=None) -> np.ndarray:
+                    kappa=None, u0_prime=None, stiffness=None) -> np.ndarray:
     """Project the initial datum onto the P1 space; returns full nodal values.
 
     mode "nodal" samples u0 at the nodes; "l2" solves the mass system with a
     4-point Gauss load vector; "ritz" solves the kappa-weighted stiffness
-    system (Dirichlet only; needs kappa and u0_prime).
+    system (Dirichlet only; needs kappa and u0_prime for the load, sampled
+    on the load points, and the matrix as stiffness: assemble_G(mesh, bc,
+    kappa on mesh.gauss2), a solve's K).
     """
     if mode == "nodal":
         return _eval_on(u0, mesh.nodes).copy()
@@ -260,11 +266,12 @@ def project_initial(u0, mesh: SpatialMesh, bc: BcMode, mode: str,
             raise ValueError("ritz projection is only supported with dirichlet boundaries")
         if u0_prime is None:
             raise ValueError("ritz projection needs the derivative u0_prime")
+        if stiffness is None:
+            raise ValueError("ritz projection needs the kappa stiffness matrix")
         xg = mesh.load_x[:-2]
         # <kappa u0', phi_p'> is the load of -(kappa u0')' in flux form
         rhs = load_from_values(mesh, flux=-_eval_on(kappa, xg) * _eval_on(u0_prime, xg))
-        stiff = assemble_G(mesh, bc, kappa(mesh.gauss2))
-        return to_full(thomas_solve(stiff, to_dof(rhs, bc)), bc)
+        return to_full(thomas_solve(stiffness, to_dof(rhs, bc)), bc)
 
     raise ValueError(f"unknown projection mode {mode!r}")
 

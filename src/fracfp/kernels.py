@@ -96,18 +96,30 @@ def omega_increment(beta: float, a, b):
 @dataclass(frozen=True)
 class ConvolutionWeights:
     """Accessors for the L1 weight structure on one time mesh; w0 and d read
-    arrays filled for every n when it is built."""
+    arrays filled for every n when it is built, and row reads the per-step
+    arrays of its far form built with them."""
 
     mesh: GradedMesh
     alpha: float
     _w0: np.ndarray = field(init=False, repr=False, compare=False)
     _d: np.ndarray = field(init=False, repr=False, compare=False)
+    _far: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        t = self.mesh.nodes
-        object.__setattr__(self, "_w0", omega_increment(self.alpha + 1.0, t[:-1], t[1:]))
-        object.__setattr__(self, "_d", self.mesh.steps ** self.alpha * rgamma(self.alpha + 2.0))
+        alpha, t, tau = self.alpha, self.mesh.nodes, self.mesh.steps
+        object.__setattr__(self, "_w0", omega_increment(alpha + 1.0, t[:-1], t[1:]))
+        object.__setattr__(self, "_d", tau**alpha * rgamma(alpha + 2.0))
+        c2 = (alpha - 1.0) * (alpha - 2.0)
+        c24 = c2 * (alpha - 3.0) * (alpha - 4.0)
+        half = 0.5 * tau
+        b2 = half * half
+        # row's far form: c2/6, c2 c4/120, the half steps b_j = tau_j/2,
+        # (c2/6) b_j^2, (c2 c4/120) b_j^4, (c2 c4/36) b_j^2, and 1/Gamma at
+        # alpha and alpha + 2
+        object.__setattr__(self, "_far", (
+            c2 / 6.0, c24 / 120.0, half, c2 / 6.0 * b2, c24 / 120.0 * b2 * b2,
+            c24 / 36.0 * b2, rgamma(alpha), rgamma(alpha + 2.0)))
 
     def _check_n(self, n: int) -> None:
         if n < 1 or n > self.mesh.N:
@@ -118,43 +130,39 @@ class ConvolutionWeights:
 
         w_{n,j} = int_{I_j} int_{I_n} omega_alpha(sig - s) dsig ds, from four
         increments of omega_{alpha+2}, except where t_{n-1} - t_j exceeds
-        100 (tau_n + tau_j).  There, with a = tau_n/2, b = tau_j/2 and u the
-        distance between the midpoints of I_n and I_j, at one power per entry,
-          w = 4ab [omega(u) + (a^2+b^2)/6 omega''(u)
-                   + ((a^4+b^4)/120 + a^2 b^2/36) omega''''(u)];
-        the first dropped term is below (a+b)^6/(7 u^6) < 201**-6/7 = 2.2e-15
-        of w.  Steps never shrink (gamma >= 1), so these far entries, all
-        positive, are a prefix.  The four-term differences cancel to zero or
-        below once tau_j drops under the rounding of t_n (alpha = 0.3,
-        gamma = 5.4, N = 1024 from row 317 on).
+        100 (tau_n + tau_j).  There, with a = tau_n/2, b = tau_j/2, u the
+        distance between the midpoints of I_n and I_j, r = 1/u^2,
+        c2 = (alpha-1)(alpha-2) and c4 = (alpha-3)(alpha-4), at one power
+        per entry and in one nested form,
+          w = 4ab omega(u) [1 + r (c2 (a^2+b^2)/6
+                + r c2 c4 ((a^4+b^4)/120 + a^2 b^2/36))];
+        the terms in b alone (c2 b^2/6, c2 c4 b^4/120, c2 c4 b^2/36) are
+        arrays over the mesh, built once.  The first dropped term is below
+        (a+b)^6/(7 u^6) < 201**-6/7 = 2.2e-15 of w.  Steps never shrink
+        (gamma >= 1), so these far entries, all positive, are a prefix.  The
+        four-term differences cancel to zero or below once tau_j drops under
+        the rounding of t_n (alpha = 0.3, gamma = 5.4, N = 1024 from row 317
+        on).
         """
         self._check_n(n)
-        alpha = self.alpha
-        t = self.mesh.nodes
-        tau = self.mesh.steps
+        t, tau = self.mesh.nodes, self.mesh.steps
+        p1, p2, half, f1, f2, f3, rg, rg2 = self._far
         tn, tnm1, taun = t[n], t[n - 1], tau[n - 1]
-        tj = t[1:n]
-        tjm1 = t[0 : n - 1]
-        tauj = tau[0 : n - 1]
-
-        gap = tnm1 - tj
-        k = int(np.count_nonzero(gap > _FAR_RATIO * (taun + tauj)))
+        gap = tnm1 - t[1:n]
+        k = int(np.count_nonzero(gap > _FAR_RATIO * (taun + tau[: n - 1])))
         w = np.empty(n - 1)
 
-        e = alpha + 1.0
-        w[k:] = (
-            (tn - tjm1[k:]) ** e
-            - (tnm1 - tjm1[k:]) ** e
-            - (tn - tj[k:]) ** e
-            + (tnm1 - tj[k:]) ** e
-        ) * rgamma(alpha + 2.0)
+        # (t_n - t_i)^e and (t_{n-1} - t_i)^e serve the entries j = i and i + 1
+        e = self.alpha + 1.0
+        A, B = (tn - t[k:n]) ** e, (tnm1 - t[k:n]) ** e
+        w[k:] = (A[:-1] - B[:-1] - A[1:] + B[1:]) * rg2
         if k:
-            a2, b2 = 0.25 * taun * taun, 0.25 * tauj[:k] ** 2
-            u = gap[:k] + 0.5 * (taun + tauj[:k])  # no rounding of t_n enters u
+            a = half[n - 1]
+            a2 = a * a
+            u = gap[:k] + (a + half[:k])  # no rounding of t_n enters u
             r = 1.0 / (u * u)
-            c2, c4 = (alpha - 1.0) * (alpha - 2.0), (alpha - 3.0) * (alpha - 4.0)
-            poly = (a2 + b2) / 6.0 + r * c4 * ((a2 * a2 + b2 * b2) / 120.0 + a2 * b2 / 36.0)
-            w[:k] = (taun * rgamma(alpha)) * tauj[:k] * u ** (alpha - 1.0) * (1.0 + c2 * r * poly)
+            poly = 1.0 + r * (p1 * a2 + f1[:k] + r * (p2 * a2 * a2 + f2[:k] + a2 * f3[:k]))
+            w[:k] = (taun * rg) * tau[:k] * u ** (self.alpha - 1.0) * poly
         return w
 
     def w0(self, n: int) -> float:

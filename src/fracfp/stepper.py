@@ -5,12 +5,17 @@ add the drift band of the midpoint-averaged drift to the kappa stiffness,
 form S^n = M + (tau_n^alpha/Gamma(alpha+2)) G^n, accumulate the
 convolution history of increments, solve the tridiagonal system, advance.
 
-The history sum is exact and runs in blocks of _BLOCK steps (see step), so
-the stored increments are read once per block rather than once per step.
-The source loads come per block too: assemble_source takes arrays of
-interval ends, and the first step of a block assembles the loads of all
-its steps at once (nothing for a sourceless problem).  Increments and
-trajectory share one (N+1) x (M_x+1) buffer.
+The history sum is exact and split three ways (see step).  A panel of
+_PANEL steps sums its history over every increment stored before it in
+one matrix product, so the stored increments are read once per panel;
+each block of _BLOCK steps inside the panel adds its history over the
+panel's earlier increments, and each step its history over the block's.
+The partial sums wait in the increment rows of their own steps, which
+are unused until those steps run.  The source loads come per block:
+assemble_source takes arrays of interval ends, and the first step of a
+block assembles the loads of all its steps at once (nothing for a
+sourceless problem).  Increments, partial sums and trajectory share one
+(N+1) x (M_x+1) buffer.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .fem1d import (
 )
 from .kernels import ConvolutionWeights
 from .problems import ProblemSpec
-from .timegrid import GradedMesh, check_step_assumption
+from .timegrid import GradedMesh, step_condition_failure
 
 __all__ = [
     "SolverConfig",
@@ -49,8 +54,10 @@ __all__ = [
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 # steps whose history over the increments stored before them is summed in
-# one matrix product
+# one matrix product: a panel over the increments before it, then each
+# block over the panel's increments before the block
 _BLOCK = 32
+_PANEL = 4 * _BLOCK
 
 
 @dataclass(frozen=True)
@@ -94,17 +101,21 @@ class SolverState:
     reads nothing else, and problem and config cannot be reassigned (build a
     new state instead).  Derived: the completed step count n, the solution
     at the unknowns (updated in place), increments, the mass matrix, K and
-    the diffusion floor (from one kappa sample on SpatialMesh.gauss2), the
-    weights, the drift at t_n on gauss2 (None without drift) and the open
-    block (None before the first step).  Compares by identity.
+    the diffusion floor (from one kappa sample on SpatialMesh.gauss2, which
+    the ritz projection of U^0 reuses through K), the weights, the drift at
+    t_n on gauss2 (None without drift) and the open panel and block (None
+    before the first step).  Compares by identity.
 
     W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
-    nodal U^0 and row n the increment W^n = U^n - U^(n-1) at the unknowns
-    (Dirichlet boundary columns stay zero).  solve sums it in place into the
-    trajectory U^0..U^N.  For the steps s..s+_BLOCK-1 of the open block,
-    _hist_old[n-s] is sum_{j<s} (w_{n,j}/tau_j) W^j, _hist_tail[n-s, :n-s]
-    are the weights w_{n,j}/tau_j for j = s..n-1, and _loads[n-s] is the
-    load f^n at the unknowns (_loads stays None for a sourceless problem).
+    nodal U^0 and row n, once step n has run, the increment
+    W^n = U^n - U^(n-1) at the unknowns (Dirichlet boundary columns stay
+    zero).  solve sums it in place into the trajectory U^0..U^N.  Until
+    step n runs, row n holds a partial history instead: with the open panel
+    p..p+_PANEL-1 and block s..s+_BLOCK-1, sum_{j<s} (w_{n,j}/tau_j) W^j
+    for the block's steps, sum_{j<p} (w_{n,j}/tau_j) W^j for the panel's
+    later steps, and zero past the panel.  _coeff[n-p, :n-1] are the
+    weights w_{n,j}/tau_j of the panel's steps, and _loads[n-s] is the load
+    f^n at the unknowns (_loads stays None for a sourceless problem).
 
     Raises ValueError when config.alpha and problem.alpha differ (scheme,
     source and exact solution share one order), when the spatial mesh's
@@ -122,8 +133,7 @@ class SolverState:
     _kappa_min: float = field(init=False)
     _cw: ConvolutionWeights = field(init=False)
     _drift: object = field(init=False)
-    _hist_old: np.ndarray = field(init=False, default=None)
-    _hist_tail: np.ndarray = field(init=False, default=None)
+    _coeff: np.ndarray = field(init=False, default=None)
     _loads: np.ndarray = field(init=False, default=None)
 
     def __setattr__(self, name, value):
@@ -142,14 +152,14 @@ class SolverState:
         tol = 1e-12 * max(abs(a), abs(b))
         if abs(space.a - a) > tol or abs(space.b - b) > tol:
             raise ValueError(f"spatial mesh [{space.a}, {space.b}] does not cover the problem domain [{a}, {b}]")
-        U0_full = project_initial(problem.u0, space, bc, problem.default_projection,
-                                  kappa=problem.kappa, u0_prime=problem.u0_prime)
-        self.W = np.zeros((config.mesh.N + 1, space.M_x + 1))
-        self.W[0] = U0_full
-        self.n, self.U_dof = 0, to_dof(U0_full, bc)
         kappa = problem.kappa(space.gauss2)
         self._mass, self._K = assemble_mass(space, bc), assemble_G(space, bc, kappa)
         self._kappa_min = float(np.min(kappa))
+        U0_full = project_initial(problem.u0, space, bc, problem.default_projection,
+                                  kappa=problem.kappa, u0_prime=problem.u0_prime, stiffness=self._K)
+        self.W = np.zeros((config.mesh.N + 1, space.M_x + 1))
+        self.W[0] = U0_full
+        self.n, self.U_dof = 0, to_dof(U0_full, bc)
         self._cw = ConvolutionWeights(config.mesh, config.alpha)
         self._drift = None if problem.drift is None else problem.drift(space.gauss2, config.mesh.nodes[0])
 
@@ -211,19 +221,33 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
 
 
 def _open_block(state: SolverState, W: np.ndarray, s: int) -> None:
-    """Weights of steps s..s+_BLOCK-1 (one row call each) and their history
-    over W^1..W^{s-1} (W: the increment buffer at the unknowns), summed in
-    one matrix product; and their loads, in one assemble_source call."""
+    """Open the block of steps s..s+_BLOCK-1 (W: the increment buffer at the
+    unknowns): assemble its loads in one assemble_source call.  At a
+    panel's first block, take the panel's weight rows (one row call each)
+    and write their history over W^1..W^{p-1} into the panel's rows of W,
+    in one matrix product; at a later block of the panel, add to the
+    block's rows their history over the panel's increments before s, in
+    one more."""
     problem, tmesh = state.problem, state.config.mesh
-    ms = range(s, min(s + _BLOCK, tmesh.N + 1))
-    coeff = np.zeros((len(ms), s - 1 + len(ms)))
-    for i, m in enumerate(ms):
-        coeff[i, : m - 1] = state._cw.row(m) / tmesh.steps[: m - 1]
-    state._hist_old = coeff[:, : s - 1] @ W[1:s]
-    state._hist_tail = coeff[:, s - 1 :]
+    N = tmesh.N
+    stop = min(s + _BLOCK, N + 1)
     if problem.has_source:
-        ends = tmesh.nodes[s - 1 : ms.stop]
+        # before the panel product touches the panel's rows, which keeps
+        # this assembly's temporaries out of the peak
+        ends = tmesh.nodes[s - 1 : stop]
         state._loads = to_dof(assemble_source(problem, state.config.spatial, (ends[:-1], ends[1:])), problem.bc)
+    p = s - (s - 1) % _PANEL
+    if p == s:
+        state._coeff = None  # free the last panel's rows before the next ones
+        ms = range(p, min(p + _PANEL, N + 1))
+        coeff = np.zeros((len(ms), p - 1 + len(ms)))
+        for i, m in enumerate(ms):
+            coeff[i, : m - 1] = state._cw.row(m) / tmesh.steps[: m - 1]
+        state._coeff = coeff
+        if p > 1:
+            np.matmul(coeff[:, : p - 1], W[1:p], out=W[p : ms.stop])
+    else:
+        W[s:stop] += state._coeff[s - p : stop - p, p - 1 : s - 1] @ W[p:s]
 
 
 def step(state: SolverState) -> SolverState:
@@ -235,14 +259,18 @@ def step(state: SolverState) -> SolverState:
     SpatialMesh.gauss2; F(t_n) is kept for the next step (and for solve's
     step-size check), so a solve evaluates the drift N + 1 times.
 
-    H^n is exact.  The first step of each block of _BLOCK steps takes the
-    weight rows of all the block's steps and sums their history over the
-    increments stored before the block in one matrix product, so the stored
-    increments are read once per block; each step then adds at most
-    _BLOCK - 1 terms over the block's own increments.  The same first step
-    assembles the loads f^n of all the block's steps in one assemble_source
-    call (one series evaluation for the built-in problems), and each step
-    reads its own.
+    H^n is exact and summed in three parts, each over the increments the
+    last part left out.  The first step of each panel of _PANEL steps
+    takes the weight rows of all the panel's steps and sums their history
+    over the increments stored before the panel in one matrix product, so
+    the stored increments are read once per panel.  The first step of each
+    block of _BLOCK steps inside it adds the history over the panel's
+    increments before the block, in one product, and each step then adds
+    at most _BLOCK - 1 terms over the block's own increments.  The partial
+    sums wait in the rows of state.W that the increments of their steps
+    will take.  The first step of each block also assembles the loads f^n
+    of all the block's steps in one assemble_source call (one series
+    evaluation for the built-in problems), and each step reads its own.
 
     Raises FloatingPointError, naming n and t_n, if W^n is not finite.
     """
@@ -256,20 +284,21 @@ def step(state: SolverState) -> SolverState:
     G, F, drift = state._K, problem.drift, None
     if F is not None:
         drift = F(space.gauss2, t1)
-        G = G.plus_scaled(drift_band(space, bc, 0.5 * (state._drift + drift)), 1.0)
+        G = G.plus_scaled(drift_band(space, bc, state._drift + drift), 0.5)
     S = state._mass.plus_scaled(G, state._cw.d(n))
 
     W = state.W[:, dof_slice(bc)]
     s = n - (n - 1) % _BLOCK
     if s == n:
         _open_block(state, W, s)
-    i = n - s
-    hist = state._cw.w0(n) * W[0] + (
-        state._hist_old[i] + state._hist_tail[i, :i] @ W[s:n])
+    # W[n] holds the history over the increments before the block
+    hist = state._coeff[(n - 1) % _PANEL, s - 1 : n - 1] @ W[s:n]
+    hist += W[n]
+    hist += state._cw.w0(n) * W[0]
 
     rhs = -G.matvec(hist)
     if state._loads is not None:
-        rhs += state._loads[i]
+        rhs += state._loads[n - s]
     Wn = thomas_solve(S, rhs)
     if not np.isfinite(Wn).all():
         raise FloatingPointError(f"non-finite solution at step n = {n}, t_n = {t1:.6g}")
@@ -282,16 +311,18 @@ def step(state: SolverState) -> SolverState:
 
 def solve(problem, config: SolverConfig) -> Trajectory:
     """Run the full L1 sweep: O(N^2 d_h) time, with the stored increments
-    read once per block of _BLOCK steps; memory is one (N+1) x (M_x+1)
-    buffer, whose increment rows become the trajectory in place, and the
-    open block's weights and loads.
+    read once per panel of _PANEL steps (see step); memory is one
+    (N+1) x (M_x+1) buffer, whose increment rows become the trajectory in
+    place, and the open panel's weights and block's loads.
 
     After the sweep, emits a UserWarning (never an error) when the mesh
     fails the sufficient step-size condition for the discrete stability
     bound, checked on the solve's own samples: c0 is the largest |F| the
     steps computed (on SpatialMesh.gauss2 at t_0..t_N) and the diffusion
-    floor the smallest kappa in the gauss2 sample K is assembled from.
-    Filter it with warnings.filterwarnings("ignore", "time mesh violates").
+    floor the smallest kappa in the gauss2 sample K is assembled from.  The
+    warning names the first failing step n, its t_n and the largest
+    left-hand side of the condition (timegrid.step_condition_failure).  Filter
+    it with warnings.filterwarnings("ignore", "time mesh violates").
     """
     state = SolverState(problem, config)
     drift = problem.drift is not None
@@ -300,10 +331,13 @@ def solve(problem, config: SolverConfig) -> Trajectory:
         step(state)
         if drift:
             c0 = max(c0, float(np.abs(state._drift).max()))
-    if not check_step_assumption(config.mesh, config.alpha, c0, state._kappa_min):
+    failure = step_condition_failure(config.mesh, config.alpha, c0, state._kappa_min)
+    if failure is not None:
+        n, lhs_max = failure
         warnings.warn(
-            "time mesh violates the sufficient step-size condition; "
-            "the discrete stability bound is not guaranteed",
+            f"time mesh violates the sufficient step-size condition first at step "
+            f"n = {n}, t_n = {config.mesh.nodes[n]:.6g} (largest left-hand side "
+            f"{lhs_max:.6g} > 1); the discrete stability bound is not guaranteed",
             stacklevel=2,
         )
     # U^n = U^0 + W^1 + ... + W^n, added in step order; row 0 (full U^0) and

@@ -50,15 +50,15 @@ def build_mesh(T: float, N: int, gamma: float) -> GradedMesh:
     return GradedMesh(T, N, gamma)
 
 
-def check_step_assumption(
+def step_condition_failure(
     mesh: GradedMesh, alpha: float, c0: float, kappa_min: float
-) -> bool:
-    """Stability step-size diagnostic for the fractional scheme.
-
-    Checks 8 * w(t_n) * w(tau_n) * (2*c0**2/kappa_min + 1)**2 <= 1 for every
-    step, with w(t) = t**alpha / Gamma(1+alpha), c0 a bound on the drift
-    magnitude and kappa_min the diffusivity floor.  Advisory only: callers
-    warn rather than abort when it fails.
+) -> tuple[int, float] | None:
+    """The stability step-size condition
+    8 * w(t_n) * w(tau_n) * (2*c0**2/kappa_min + 1)**2 <= 1 for n = 1..N,
+    with w(t) = t**alpha / Gamma(1+alpha), c0 a bound on the drift
+    magnitude and kappa_min the diffusivity floor: None when every step
+    meets it, else the first step n that fails and the largest left-hand
+    side over all steps.
     """
     from scipy.special import gamma as _gamma
 
@@ -67,6 +67,16 @@ def check_step_assumption(
     if kappa_min <= 0:
         raise ValueError(f"kappa_min must be positive, got {kappa_min}")
     w = lambda s: s ** alpha / _gamma(1.0 + alpha)
-    t = mesh.nodes
-    lhs = 8.0 * w(t[1:]) * w(mesh.steps) * (2.0 * c0 ** 2 / kappa_min + 1.0) ** 2
-    return bool(np.all(lhs <= 1.0))
+    lhs = 8.0 * w(mesh.nodes[1:]) * w(mesh.steps) * (2.0 * c0 ** 2 / kappa_min + 1.0) ** 2
+    bad = np.flatnonzero(~(lhs <= 1.0))
+    return (int(bad[0]) + 1, float(lhs.max())) if bad.size else None
+
+
+def check_step_assumption(
+    mesh: GradedMesh, alpha: float, c0: float, kappa_min: float
+) -> bool:
+    """Stability step-size diagnostic for the fractional scheme: whether
+    every step meets the condition of step_condition_failure.  Advisory
+    only: callers warn rather than abort when it fails.
+    """
+    return step_condition_failure(mesh, alpha, c0, kappa_min) is None

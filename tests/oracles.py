@@ -343,8 +343,9 @@ def direct_l1_solve(problem, config) -> np.ndarray:
     bc = problem.bc
     space, tmesh = config.spatial, config.mesh
     N = tmesh.N
+    K = assemble_G(space, bc, problem.kappa(space.gauss2))
     U0_full = project_initial(problem.u0, space, bc, problem.default_projection,
-                              kappa=problem.kappa, u0_prime=problem.u0_prime)
+                              kappa=problem.kappa, u0_prime=problem.u0_prime, stiffness=K)
     U0 = to_dof(U0_full, bc)
     U = U0.copy()
     W = np.zeros((N, U0.size))
@@ -353,7 +354,6 @@ def direct_l1_solve(problem, config) -> np.ndarray:
     mass = assemble_mass(space, bc)
     cw = ConvolutionWeights(tmesh, config.alpha)
     F = problem.drift
-    K = assemble_G(space, bc, problem.kappa(space.gauss2))
     xg = space.gauss2
     for n in range(1, N + 1):
         t0, t1 = tmesh.nodes[n - 1], tmesh.nodes[n]

@@ -214,7 +214,8 @@ def test_projections_reproduce_p1_data():
     for mode in ("nodal", "l2", "ritz"):
         got = project_initial(hat, mesh, BcMode.DIRICHLET, mode,
                               kappa=lambda x: 1.0,
-                              u0_prime=lambda x: np.where(x <= 0.5, 1.0, -1.0))
+                              u0_prime=lambda x: np.where(x <= 0.5, 1.0, -1.0),
+                              stiffness=assemble_G(mesh, BcMode.DIRICHLET, 1.0))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -225,7 +226,8 @@ def test_ritz_equals_nodal_for_constant_kappa():
     u0 = lambda x: np.sin(np.pi * x) * (1.0 + x)
     u0p = lambda x: np.pi * np.cos(np.pi * x) * (1.0 + x) + np.sin(np.pi * x)
     ritz = project_initial(u0, mesh, BcMode.DIRICHLET, "ritz",
-                           kappa=lambda x: 2.0, u0_prime=u0p)
+                           kappa=lambda x: 2.0, u0_prime=u0p,
+                           stiffness=assemble_G(mesh, BcMode.DIRICHLET, 2.0))
     np.testing.assert_allclose(ritz, u0(mesh.nodes), atol=5e-9)
 
 
@@ -317,6 +319,9 @@ def test_projection_validation():
     with pytest.raises(ValueError):
         project_initial(lambda x: x, mesh, BcMode.ZERO_FLUX, "ritz",
                         kappa=lambda x: 1.0)
+    with pytest.raises(ValueError, match="stiffness"):
+        project_initial(lambda x: x * (1.0 - x), mesh, BcMode.DIRICHLET, "ritz",
+                        kappa=lambda x: 1.0, u0_prime=lambda x: 1.0 - 2.0 * x)
 
 
 def test_projection_modes_are_spelled_as_the_problem_spells_them():

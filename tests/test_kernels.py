@@ -199,6 +199,27 @@ def test_far_weights_against_mpmath(alpha, gamma):
     assert checked >= 12
 
 
+@pytest.mark.parametrize("alpha, gamma, N", [(0.6, 3.0, 4096), (0.05, 2.0, 512), (0.9, 1.0, 256)])
+def test_far_prefix_against_mpmath_on_sampled_rows(alpha, gamma, N):
+    # row's nested far form against 60-digit mpmath on about 40 rows per
+    # mesh, 6 far entries each: both ends of the prefix and 4 between
+    mesh = build_mesh(1.0, N, gamma)
+    cw = ConvolutionWeights(mesh, alpha)
+    rng = np.random.default_rng(23)
+    checked = 0
+    for n in np.unique(np.linspace(2, N, 40).astype(int)):
+        k = _far_count(mesh, n)
+        if k == 0:
+            continue
+        w = cw.row(n)
+        js = {1, k} | set(rng.integers(1, k + 1, size=4).tolist())
+        for j in js:
+            want = l1_weight_oracle(mesh.nodes, alpha, n, j)
+            assert w[j - 1] == pytest.approx(want, rel=3e-15, abs=0.0), (n, j, k)
+            checked += 1
+    assert checked >= 40
+
+
 @pytest.mark.xfail(strict=True, reason="the direct L1 weight difference cancels once tau_j "
                    "falls below the rounding of t_n; the fix waits for a re-recorded "
                    "benchmark reference (ROADMAP item 1)")

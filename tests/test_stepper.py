@@ -1,6 +1,7 @@
 import functools
 import inspect
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -33,7 +34,7 @@ from fracfp import (
 
 from fracfp import problems, stepper
 from fracfp.fem1d import dof_slice, load_from_values
-from fracfp.stepper import _BLOCK
+from fracfp.stepper import _BLOCK, _PANEL
 from oracles import cn_reference, direct_l1_solve, source_integral_oracle, source_integral_singular
 
 
@@ -351,8 +352,9 @@ def test_mass_conservation_zero_flux():
     np.testing.assert_allclose(totals, totals[0], atol=1e-13)
 
 
-# first block, its edges, and partial later blocks
-_BLOCK_NS = sorted({1, 15, 16, 17, 50, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5})
+# first block, its edges, partial later blocks, and the same for panels
+_BLOCK_NS = sorted({1, 15, 16, 17, 50, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5,
+                    _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 5})
 
 
 @pytest.mark.parametrize("bc", [BcMode.DIRICHLET, BcMode.ZERO_FLUX])
@@ -372,8 +374,9 @@ def test_blocked_history_matches_direct_sum(bc, N):
 def test_one_solve_work_counts(monkeypatch):
     # the state is built once: K and the diffusion floor from one kappa
     # sample on gauss2, and the weights; each step evaluates the drift once
-    # and takes one weight row.  A whole solve adds nothing: the step-size
-    # check reads the state's kappa floor and the steps' own drift samples
+    # and takes one weight row, over three panels.  A whole solve adds
+    # nothing: the step-size check reads the state's kappa floor and the
+    # steps' own drift samples
     calls = Counter()
 
     def counted(name, fn):
@@ -387,7 +390,7 @@ def test_one_solve_work_counts(monkeypatch):
     prob = make_problem(bc=BcMode.ZERO_FLUX, u0=lambda x: x * (1.0 - x),
                         kappa=counted("kappa", lambda x: 1.0 + x),
                         drift=counted("drift", lambda x, t: np.sin(t) - x))
-    N = 2 * _BLOCK + 5
+    N = 2 * _PANEL + 5
     config = SolverConfig(alpha=0.6, mesh=build_mesh(1.0, N, 2.0),
                           spatial=uniform_mesh(0.0, 1.0, 20))
     state = SolverState(prob, config)
@@ -455,8 +458,9 @@ def test_state_problem_and_config_are_read_only():
 
 
 def test_ritz_solve_samples_kappa_once_on_gauss2():
-    # the ritz projection samples kappa on the load points and on gauss2;
-    # the state samples it once more on gauss2 for K and the diffusion floor
+    # the state samples kappa once on gauss2 for K and the diffusion floor,
+    # and the ritz projection reuses that K; it samples kappa only on the
+    # load points, for its right-hand side
     sizes = []
 
     def kappa(x):
@@ -468,7 +472,7 @@ def test_ritz_solve_samples_kappa_once_on_gauss2():
     M = 50
     solve(prob, SolverConfig(alpha=0.7, mesh=build_mesh(1.0, 4, 2.0),
                              spatial=uniform_mesh(0.0, 1.0, M)))
-    assert sizes == [4 * M, 2 * M, 2 * M]
+    assert sizes == [2 * M, 4 * M]
 
 
 def test_state_is_built_from_problem_and_config_alone():
@@ -519,6 +523,26 @@ def test_step_size_warning_checks_the_solves_own_samples(bound):
     assert warned == (bound == "high")
     if bound == "between":
         assert not check_step_assumption(tmesh, alpha, s, kmin)
+
+
+def test_step_size_warning_names_the_first_failing_step():
+    # with a constant drift c0 = 0.5 and kappa = 1 on a uniform mesh, the
+    # left-hand side 8 w(t_n) w(tau) (2 c0^2 + 1)^2 grows with n and first
+    # passes 1 partway; the warning names that step, its t_n and the largest
+    # left-hand side, at t_N
+    alpha, tmesh = 0.6, build_mesh(1.0, 64, 1.0)
+    w = lambda t: t ** alpha / math.gamma(1.0 + alpha)
+    lhs = [8.0 * w(tn) * w(1.0 / 64) * 1.5 ** 2 for tn in tmesh.nodes[1:]]
+    n = 1 + next(i for i, v in enumerate(lhs) if v > 1.0)
+    assert 1 < n < 64 and lhs[-1] == max(lhs)
+    prob = make_problem(alpha=alpha, drift=lambda x, t: np.full_like(x, 0.5),
+                        u0=lambda x: x * (1.0 - x))
+    config = SolverConfig(alpha=alpha, mesh=tmesh, spatial=uniform_mesh(0.0, 1.0, 8))
+    message = (f"time mesh violates the sufficient step-size condition first at step "
+               f"n = {n}, t_n = {tmesh.nodes[n]:.6g} (largest left-hand side "
+               f"{lhs[-1]:.6g} > 1)")
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        solve(prob, config)
 
 
 def test_dirichlet_trajectory_keeps_projected_start():
