@@ -3,12 +3,17 @@
 Everything here lives on the negative real axis (Mittag-Leffler part) or on a
 graded mesh (quadrature weights), which is all the solver needs.  The hot
 paths are vectorized numpy.  omega_increment is one nested closed form that
-never subtracts nearly equal powers.  mittag_leffler has three routes: exp for
-mu = beta = 1; otherwise a Taylor sum for 0 < -x <= 1 and, above it, one
-fixed double-exponential quadrature of the Hankel integral for every
-0 < mu <= 1 and beta > 0.  It is good to about 1e-14 relative for
-mu <= 0.99; nearer mu = 1 the relative error grows like 1e-16/(1 - mu),
-while the absolute error stays near 1e-16.
+never subtracts nearly equal powers.  mittag_leffler has four routes: exp for
+mu = beta = 1; otherwise a Taylor sum for 0 < -x <= 1 and, above it, the
+Hankel-integral representation, an algebraic expansion in 1/z plus a
+remainder integral.  The remainder after K terms is at most
+Gamma(p+1)/(pi m_mu z**(K+1)), p = mu (K+1) - beta, with m_mu = 1 for
+mu <= 1/2 and sin(pi mu) above.  Where that bound is at most 2**-54 of the
+expansion's first K_f <= _FAR_KMAX terms, those terms are the value; every
+other point takes one fixed double-exponential quadrature of the integral,
+and so does mu = 1 with beta != 1, where m_mu = 0.  It is good to about
+1e-14 relative for mu <= 0.99; nearer mu = 1 the quadrature's relative error
+grows like 1e-16/(1 - mu), while the absolute error stays near 1e-16.
 """
 
 from __future__ import annotations
@@ -186,15 +191,17 @@ class ConvolutionWeights:
 # mu p is about 25, so the term cap is the larger of _TAYLOR_PMAX and 40/mu.
 _TAYLOR_PMAX = 4096
 # Double-exponential nodes rho = exp(t - e^-t) for the Hankel integral
-# (_ml_hankel): 136 nodes, t = -7.5..6 in steps of 0.1.  The first node sits
-# at rho = e**-1815, so an integrand rho**p with p + 1 >= _DE_P1 leaves far
-# less than 1e-16 of its mass below it.
+# (_hankel_integral): 136 nodes, t = -7.5..6 in steps of 0.1.  The first
+# node sits at rho = e**-1815, so an integrand rho**p with p + 1 >= _DE_P1
+# leaves far less than 1e-16 of its mass below it.
 _DE_H = 0.1
 _DE_T = -7.5 + _DE_H * np.arange(136)
 _DE_P1 = 0.05
-# largest (points x nodes) complex buffer _ml_hankel fills at once, in
+# largest (points x nodes) complex buffer _hankel_integral fills at once, in
 # entries (4 MB)
 _HANKEL_BUF = 1 << 18
+# most terms _ml_hankel's truncated expansion takes in place of the integral
+_FAR_KMAX = 32
 
 
 def _ml_taylor(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
@@ -215,8 +222,17 @@ def _ml_taylor(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"Taylor sum failed to terminate at mu = {mu}")
 
 
+def _expansion(mu: float, beta: float, K: int) -> np.ndarray:
+    """Coefficients c[k] = (-1)**(k+1) / Gamma(beta - mu k) of the algebraic
+    expansion of E_{mu,beta}(-z) in 1/z, k = 0..K (c[0] = 0)."""
+    k = np.arange(K + 1)
+    c = np.where(k % 2 == 1, 1.0, -1.0) * rgamma(beta - mu * k)
+    c[0] = 0.0
+    return c
+
+
 def _de_rule(mu: float, beta: float):
-    """Terms and quadrature rule of _ml_hankel for one (mu, beta).
+    """Terms and quadrature rule of _hankel_integral for one (mu, beta).
 
     Returns (K, c, a, b, w): the series coefficients c[k] (c[0] = 0), the
     denominator coefficients a (per node) and b, and complex weights w that
@@ -229,9 +245,7 @@ def _de_rule(mu: float, beta: float):
     if rgamma(beta - mu * (K + 1)) == 0.0:
         K += 1
     p = mu * (K + 1) - beta
-    k = np.arange(K + 1)
-    c = np.where(k % 2 == 1, 1.0, -1.0) * rgamma(beta - mu * k)
-    c[0] = 0.0
+    c = _expansion(mu, beta, K)
     # u = rho e**(-i pi/4): the only pole, at angle pi (1 - mu)/mu, stays
     # at least pi/4 off the ray for every mu, so one step serves all mu
     rot = cmath.exp(-0.25j * math.pi)
@@ -243,17 +257,38 @@ def _de_rule(mu: float, beta: float):
     return K, c, rho**mu * rot**mu, cmath.exp(-1j * math.pi * mu), w
 
 
-def _ml_hankel(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{mu,beta}(-z) from the Hankel integral wrapped around the branch cut.
+def _far_rule(mu: float, beta: float):
+    """Truncated expansion that stands in for _ml_hankel's integral far out.
 
-    E_{mu,beta}(-z) = sum_{k=1..K} (-1)**(k+1) z**-k / Gamma(beta - mu k)
-        - (-1)**K / (pi z**(K+1)) Im[e**(i pi (mu K - beta))
-          int_0^inf e**-u u**p / (u**mu/z + e**(-i pi mu)) du],
-    p = mu (K+1) - beta, with K chosen in _de_rule.  The integral is taken
-    along u = rho e**(-i pi/4) by a fixed double-exponential trapezoid rule
-    (Weideman & Trefethen, Math. Comp. 76, 2007; Garrappa, SIAM J. Numer.
-    Anal. 53, 2015).  The points are taken in row chunks of at most
-    _HANKEL_BUF buffer entries.
+    Returns (K_f, c, g): the _expansion coefficients of its K_f terms and
+    g = Gamma(p_f + 1)/(pi m_mu), so
+    that the remainder is at most g z**-(K_f+1).  K_f <= _FAR_KMAX is the K
+    whose bound falls to 2**-54 of the leading term at the smallest z,
+    among those with p = mu (K+1) - beta > -1.  None when no K qualifies,
+    and for mu = 1, where m_mu = 0.
+    """
+    if mu == 1.0:
+        return None
+    k = np.arange(_FAR_KMAX + 1)
+    c = _expansion(mu, beta, _FAR_KMAX)
+    # the leading term is k0 = 1 or 2: for mu < 1 not both sit on a pole
+    k0 = int(np.flatnonzero(c)[0])
+    p = mu * (k + 1) - beta
+    ok = (p > -1.0) & (k >= k0)
+    if not ok.any():
+        return None
+    K = k[ok]
+    m = 1.0 if mu <= 0.5 else math.sin(math.pi * mu)
+    lg = gammaln(p[ok] + 1.0) - math.log(math.pi * m)
+    i = int(np.argmin((lg + 54.0 * math.log(2.0) - math.log(abs(c[k0]))) / (K + 1 - k0)))
+    return int(K[i]), c[: K[i] + 1], math.exp(lg[i])
+
+
+def _hankel_integral(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """_ml_hankel's expansion plus its remainder integral, by quadrature.
+
+    The points are taken in row chunks of at most _HANKEL_BUF buffer
+    entries.
     """
     K, c, a, b, w = _de_rule(mu, beta)
     rows = max(1, _HANKEL_BUF // a.size)
@@ -269,24 +304,59 @@ def _ml_hankel(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(1.0 / z, c) + z ** -(K + 1.0) * integral
 
 
+def _ml_hankel(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{mu,beta}(-z) for z > 1 from the Hankel integral wrapped around the
+    branch cut.
+
+    E_{mu,beta}(-z) = sum_{k=1..K} (-1)**(k+1) z**-k / Gamma(beta - mu k)
+        - (-1)**K / (pi z**(K+1)) Im[e**(i pi (mu K - beta))
+          int_0^inf e**-u u**p / (u**mu/z + e**(-i pi mu)) du]
+    for any K with p = mu (K+1) - beta > -1.  On u > 0 the denominator is
+    at least m_mu = 1 for mu <= 1/2 and sin(pi mu) above, so the remainder
+    is at most Gamma(p+1)/(pi m_mu z**(K+1)).  Where that bound, with the
+    K_f <= _FAR_KMAX terms of _far_rule, is at most 2**-54 of the sum of
+    those terms, the sum (Horner in 1/z) is the value and the integral is
+    skipped (Gorenflo, Kilbas, Mainardi & Rogosin, Mittag-Leffler
+    Functions, 2014, sec. 4.7).  Every other point takes the integral, with
+    K from _de_rule, along u = rho e**(-i pi/4) by a fixed double-
+    exponential trapezoid rule (_hankel_integral; Weideman & Trefethen,
+    Math. Comp. 76, 2007; Garrappa, SIAM J. Numer. Anal. 53, 2015).  mu = 1
+    with beta != 1 always takes the integral: m_mu = 0 there.
+    """
+    far = _far_rule(mu, beta)
+    if far is None:
+        return _hankel_integral(mu, beta, z)
+    K, c, g = far
+    out = np.polynomial.polynomial.polyval(1.0 / z, c)
+    need = g * z ** -(K + 1.0) > 2.0**-54 * np.abs(out)
+    if need.any():
+        out[need] = _hankel_integral(mu, beta, z[need])
+    return out
+
+
 def mittag_leffler(mu: float, beta: float, x):
     """E_{mu,beta}(x) on the nonpositive real axis, vectorized over x.
 
-    Supported domain: 0 < mu <= 1, beta > 0, x <= 0.  Each point takes one
-    of three routes: exp(-z) when mu = beta = 1; otherwise a Taylor sum for
-    z = -x <= 1 and the Hankel-integral quadrature (_ml_hankel) above it.
-    Against an extended-precision oracle the result is good to about 1e-14
-    relative for mu <= 0.99.  Nearer mu = 1 with beta in {1, mu} the value
-    is about (1 - mu)/z, so the relative error grows like 1e-16/(1 - mu)
-    while the absolute error stays near 1e-16.
+    Supported domain: 0 < mu <= 1, beta > 0, x <= 0 (-inf gives 0; NaN
+    raises).  Each point takes one of four routes: exp(-z) when mu = beta
+    = 1; otherwise a Taylor sum for z = -x <= 1 and, above it, _ml_hankel:
+    the first K_f <= _FAR_KMAX terms of the algebraic expansion in 1/z,
+    where the Hankel remainder's bound Gamma(p_f+1)/(pi m_mu z**(K_f+1))
+    (m_mu = 1 for mu <= 1/2, sin(pi mu) above) is at most 2**-54 of their
+    sum, and the remainder integral by quadrature at every other point and
+    always for mu = 1 (m_mu = 0).  Against an extended-precision oracle the
+    result is good to about 1e-14 relative for mu <= 0.99.  Nearer mu = 1
+    with beta in {1, mu} the value is about (1 - mu)/z, so the quadrature's
+    relative error grows like 1e-16/(1 - mu) while the absolute error stays
+    near 1e-16.
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mittag_leffler requires 0 < mu <= 1, got mu = {mu}")
     if beta <= 0.0:
         raise ValueError(f"mittag_leffler requires beta > 0, got beta = {beta}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr > 0.0):
-        raise ValueError("mittag_leffler is restricted to x <= 0")
+    if not np.all(arr <= 0.0):
+        raise ValueError("mittag_leffler is restricted to x <= 0 (not NaN)")
     z = -arr.ravel()
     out = np.empty(z.shape)
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx, rgamma
 
@@ -314,6 +314,17 @@ def test_ml_domain_validation():
         mittag_leffler(0.5, 0.0, -1.0)
 
 
+def test_ml_rejects_nan_and_maps_minus_inf_to_zero():
+    # NaN is outside x <= 0, alone or among valid points; -inf is inside,
+    # on every route, and E_{mu,beta}(-inf) = 0
+    for x in (np.nan, np.array([-1.0, np.nan, -20.0])):
+        with pytest.raises(ValueError, match="x <= 0 \\(not NaN\\)"):
+            mittag_leffler(0.6, 1.0, x)
+    for mu, beta in ((0.6, 1.0), (0.6, 0.6), (0.3, 2.5), (0.02, 2.5), (1.0, 1.0), (1.0, 2.0)):
+        assert mittag_leffler(mu, beta, -np.inf) == 0.0, (mu, beta)
+        np.testing.assert_array_equal(mittag_leffler(mu, beta, np.array([-np.inf, -np.inf])), 0.0)
+
+
 @pytest.mark.parametrize("beta_kind,mu",
                          [(kind, mu) for kind in ("mu", "one")
                           for mu in (0.15, 0.4, 0.6, 0.8, 0.95, 0.99)]
@@ -431,27 +442,113 @@ def test_ml_completely_monotone(mu, beta_is_one):
     assert np.all(np.diff(v) < 0.0)
 
 
-def test_ml_spectral_buffer_is_bounded():
+def _far_switch(mu, beta):
+    """The z above which _ml_hankel skips its integral: where the remainder
+    bound g z**-(K+1) of kernels._far_rule meets 2**-54 of the truncated sum."""
+    from scipy.optimize import brentq
+    K, c, g = kernels._far_rule(mu, beta)
+
+    def margin(lz):
+        s = np.polynomial.polynomial.polyval(math.exp(-lz), c)
+        return math.log(g) - (K + 1) * lz - math.log(2.0**-54 * abs(s))
+    return math.exp(brentq(margin, 0.0, 50.0, xtol=1e-15))
+
+
+def _count_integral_points(monkeypatch):
+    """Record the size of every batch that reaches the Hankel integral."""
+    sizes = []
+    integral = kernels._hankel_integral
+
+    def counted(mu, beta, z):
+        sizes.append(z.size)
+        return integral(mu, beta, z)
+    monkeypatch.setattr(kernels, "_hankel_integral", counted)
+    return sizes
+
+
+def test_ml_spectral_buffer_is_bounded(monkeypatch):
     # 100,000 points against 136 complex nodes in one buffer would be
-    # 218 MB, so the points go through in row chunks
-    z = np.logspace(-1, 12, 100_000)
-    kernels._ml_hankel(0.99, 1.0, z[:1])  # build the rule outside the trace
+    # 218 MB, so the points go through in row chunks; every z lies below
+    # the switch, so all of them reach the integral
+    z = np.geomspace(1.0, _far_switch(0.99, 1.0), 100_000, endpoint=False)
+    kernels._ml_hankel(0.99, 1.0, z[:1])  # warm up outside the trace
+    sizes = _count_integral_points(monkeypatch)
     tracemalloc.start()
     try:
         kernels._ml_hankel(0.99, 1.0, z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert sizes == [z.size]
     assert peak < 100e6, peak
 
 
 def test_ml_hankel_chunks_match_one_chunk(monkeypatch):
     # the points go through in chunks of _HANKEL_BUF // nodes rows; chunked,
-    # each value is the one a single chunk gives
-    z = np.logspace(0.01, 9, 3 * (kernels._HANKEL_BUF // kernels._DE_T.size) + 17)
+    # each value is the one a single chunk gives.  Every z lies below the
+    # switch, so all of them reach the integral
+    z = np.geomspace(1.0, _far_switch(0.6, 0.6), 3 * (kernels._HANKEL_BUF // kernels._DE_T.size) + 17,
+                     endpoint=False)
+    sizes = _count_integral_points(monkeypatch)
     got = kernels._ml_hankel(0.6, 0.6, z)
     monkeypatch.setattr(kernels, "_HANKEL_BUF", z.size * kernels._DE_T.size)
     np.testing.assert_allclose(got, kernels._ml_hankel(0.6, 0.6, z), rtol=1e-15, atol=0)
+    assert sizes == [z.size, z.size]
+
+
+@pytest.mark.parametrize("mu", [0.02, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("beta_kind", ["one", "mu", 0.3, 1.7, 2.5])
+def test_ml_truncated_sum_against_oracle(monkeypatch, mu, beta_kind):
+    # from the switch to 30x it every point skips the integral; measured
+    # worst 8.9e-16 relative (mu = 0.99, beta = mu), and 6.2e-15 at
+    # mu = beta = 0.999, where the value is about (1 - mu)/z**2
+    beta = {"one": 1.0, "mu": mu}.get(beta_kind, beta_kind)
+    sizes = _count_integral_points(monkeypatch)
+    if kernels._far_rule(mu, beta) is None:
+        # p = mu (K+1) - beta <= -1 for every K <= _FAR_KMAX: no bound, so
+        # every point keeps the integral
+        assert mu * (kernels._FAR_KMAX + 1) - beta <= -1.0
+        kernels._ml_hankel(mu, beta, np.logspace(0, 6, 7))
+        assert sizes == [7]
+        return
+    zs = _far_switch(mu, beta) * (1.0 + 1e-9) * np.geomspace(1.0, 30.0, 25)
+    got = mittag_leffler(mu, beta, -zs)
+    assert sizes == []
+    want = np.array([ml_oracle(mu, beta, float(z)) for z in zs])
+    near_one = mu >= 0.99 and beta_kind in ("one", "mu")
+    np.testing.assert_allclose(got, want, rtol=1e-14 if near_one else 2e-15, atol=0)
+
+
+@given(mu=st.floats(min_value=0.05, max_value=0.95),
+       beta=st.one_of(st.sampled_from(["one", "mu"]), st.floats(min_value=1.0, max_value=2.5)),
+       side=st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3]))
+@settings(max_examples=60, deadline=None)
+def test_ml_truncated_sum_meets_integral_at_switch(mu, beta, side):
+    # just below and just above the switch the two routes give one value
+    # (measured worst 4.3e-15).  Not for beta a little off mu: there the
+    # value nears a zero (beta < mu), or the integral alone loses up to
+    # 3e-14 (beta - mu about 1e-3)
+    beta = {"one": 1.0, "mu": mu}.get(beta, beta)
+    rule = kernels._far_rule(mu, beta)
+    assume(rule is not None)
+    c = rule[1]
+    z = np.array([_far_switch(mu, beta) * side])
+    far = np.polynomial.polynomial.polyval(1.0 / z, c)
+    np.testing.assert_allclose(far, kernels._hankel_integral(mu, beta, z), rtol=1e-14, atol=0)
+
+
+def test_ml_truncated_sum_is_independent_of_its_batch():
+    # a point that skips the integral gets the same bits alone and among
+    # 2000 points of every route
+    rng = np.random.default_rng(7)
+    mu = beta = 0.6
+    far = _far_switch(mu, beta) * np.geomspace(1.001, 1e6, 200)
+    batch = np.concatenate([far, rng.uniform(0.0, 1.0, 600), rng.uniform(1.0, 12.0, 600),
+                            10.0 ** rng.uniform(1.1, 8.0, 600)])
+    order = rng.permutation(batch.size)
+    together = mittag_leffler(mu, beta, -batch[order])[np.argsort(order)[: far.size]]
+    alone = np.array([mittag_leffler(mu, beta, -z) for z in far])
+    np.testing.assert_array_equal(together, alone)
 
 
 def test_ml_monotone_decay():

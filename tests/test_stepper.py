@@ -32,7 +32,7 @@ from fracfp import (
     uniform_mesh,
 )
 
-from fracfp import problems, stepper
+from fracfp import kernels, problems, stepper
 from fracfp.fem1d import dof_slice, load_from_values
 from fracfp.stepper import _BLOCK, _PANEL
 from oracles import cn_reference, direct_l1_solve, source_integral_oracle, source_integral_singular
@@ -415,6 +415,28 @@ def test_solve_matches_per_interval_loads(make, alpha, gamma):
     got = solve(prob, config).values
     want = direct_l1_solve(prob, config)
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def test_most_ex2_mittag_leffler_points_skip_the_hankel_integral(monkeypatch):
+    # the source of an ex2 solve evaluates most of its Mittag-Leffler
+    # points above the switch, where the truncated sum alone is the value:
+    # at most a quarter of them may reach the integral (9% do)
+    points = Counter()
+
+    def counted(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapper(mu, beta, x):
+            points[key] += np.size(x)
+            return fn(mu, beta, x)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(problems, "mittag_leffler", "all")
+    counted(kernels, "_hankel_integral", "integral")
+    solve(example2(0.4), SolverConfig(alpha=0.4, mesh=build_mesh(1.0, 64, 5.0),
+                                      spatial=uniform_mesh(0.0, 1.0, 200)))
+    assert points["all"] > 0
+    assert points["integral"] <= 0.25 * points["all"], points
 
 
 def test_sourceless_solve_makes_no_series_evaluation(monkeypatch):
