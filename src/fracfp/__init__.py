@@ -39,7 +39,7 @@ from .problems import (
     example2,
 )
 from .stepper import SolverConfig, SolverState, Trajectory, assemble_source, solve, step
-from .timegrid import GradedMesh, build_mesh, check_step_assumption
+from .timegrid import GradedMesh, build_mesh
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "assemble_mass",
     "assemble_source",
     "build_mesh",
-    "check_step_assumption",
     "compute_errors",
     "compute_rate",
     "example1",

@@ -370,7 +370,15 @@ def _eval_rows(series: SineSeries, kind: str, grid: _Grid, t: np.ndarray, fold: 
     pairs, pair_of = np.unique(np.column_stack([k_of, M[r_of]]), axis=0, return_inverse=True)
     weights = np.vstack([_time_rows(series, beta, t, fold, M, lam, c),
                          np.where(m <= pairs[:, 1:], c * lam ** (-2.0 * pairs[:, :1]), 0.0)])
-    out, gaps = _sine_sums(grid, weights, np.concatenate([np.tile(M, K), pairs[:, 1]]) >= _ROW_CAP, K * R)
+    # the rows past the grid's sine rows take one _mode_sum, first, so that
+    # its buffers are gone before the head products are allocated, and its
+    # result is gone before the corrections allocate theirs
+    past = np.concatenate([np.tile(M, K), pairs[:, 1]]) >= _ROW_CAP
+    tails = _mode_sum(grid, weights[past]) if past.any() else np.empty((0, grid.flat.size))
+    head = min(m.size, _ROW_CAP)
+    out, gaps = (part[:, :head] @ grid.sin[:head] for part in np.split(weights, [K * R]))
+    out[past[:K * R]], gaps[past[K * R:]] = np.split(tails, [np.count_nonzero(past[:K * R])])
+    del tails
     out = out.reshape(K, R, -1)
     if pairs.size:
         for gap, k in zip(gaps, pairs[:, 0]):
@@ -388,21 +396,6 @@ def _eval_rows(series: SineSeries, kind: str, grid: _Grid, t: np.ndarray, fold: 
         # E(0) = 1/Gamma(beta) = rgs[0] mode-independently, so P_0 applies
         out += np.multiply.outer(np.where(pos, 0.0, fold).sum(axis=-1) * rgs[0], grid.P[0])
     return out
-
-
-def _sine_sums(grid: _Grid, weights: np.ndarray, past: np.ndarray, split: int):
-    """weights @ sin(lam_m x) on the grid, as two arrays: the rows before
-    split and the rest.  The rows past the grid's sine rows (past) take one
-    _mode_sum, first, so that its buffers are gone before the sums are
-    allocated; the others take one product with the sine rows."""
-    tails = _mode_sum(grid, weights[past]) if past.any() else np.empty((0, grid.flat.size))
-    head = min(weights.shape[1], _ROW_CAP)
-    sums = []
-    for part, over, tail in zip(np.split(weights, [split]), np.split(past, [split]),
-                                np.split(tails, [past[:split].sum()])):
-        sums.append(part[:, :head] @ grid.sin[:head])
-        sums[-1][over] = tail
-    return sums
 
 
 def _time_rows(series: SineSeries, beta: float, t: np.ndarray, fold: np.ndarray, M: np.ndarray,
@@ -445,8 +438,8 @@ class ProblemSpec:
     f_regular not both.  Inconsistent inputs are rejected here: alpha outside
     (0, 1] or unequal to the .alpha a part states, a T that is not positive
     and finite, an empty domain or one with a non-finite end, a bc that is
-    not a BcMode, an unknown default_projection, and rho <= -1 (not
-    integrable at t = 0) with any source given.
+    not a BcMode, an unknown default_projection, a rho that is not finite,
+    and rho <= -1 (not integrable at t = 0) with any source given.
     """
 
     name: str
@@ -479,7 +472,9 @@ class ProblemSpec:
             raise ValueError(f"unknown projection mode {self.default_projection!r}")
         if self.f is not None and self.f_regular is not None:
             raise ValueError("give the pointwise part as f or as f_regular, not both")
-        if self.has_source and float(self.rho or 0.0) <= -1.0:
+        if not math.isfinite(self.rho):
+            raise ValueError(f"temporal exponent rho must be finite, got {self.rho}")
+        if self.has_source and self.rho <= -1.0:
             raise ValueError(f"temporal exponent rho = {self.rho} is not integrable")
         for name in ("f", "f_regular", "flux_regular", "exact"):
             built = getattr(getattr(self, name), "alpha", self.alpha)

@@ -181,15 +181,15 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
     with all the intervals' times (f: one call per time).  Space uses
     4-point Gauss per element; under Dirichlet conditions to_dof drops the
     boundary rows, end terms included.  The tests check the result against
-    adaptive quadrature.  ProblemSpec rejects rho <= -1 (non-integrable)
-    when it is built.
+    adaptive quadrature.  ProblemSpec rejects a non-finite rho, and
+    rho <= -1 (non-integrable), when it is built.
     """
     t0, t1 = np.broadcast_arrays(*(np.asarray(end, dtype=float) for end in interval))
     if not np.all((0.0 <= t0) & (t0 < t1) & (t1 < math.inf)):
         raise ValueError(f"bad time interval ({interval[0]}, {interval[1]})")
     if not problem.has_source:
         return np.zeros(t0.shape + (spatial.M_x + 1,))
-    rho = float(problem.rho or 0.0)
+    rho = problem.rho
     q = rho + 1.0
     # s = t**(rho+1) absorbs the endpoint singularity and, on graded meshes,
     # straightens the near-origin stretching that defeats rules in t itself
@@ -224,10 +224,10 @@ def _open_block(state: SolverState, W: np.ndarray, s: int) -> None:
     """Open the block of steps s..s+_BLOCK-1 (W: the increment buffer at the
     unknowns): assemble its loads in one assemble_source call.  At a
     panel's first block, take the panel's weight rows (one row call each)
-    and write their history over W^1..W^{p-1} into the panel's rows of W,
-    in one matrix product; at a later block of the panel, add to the
-    block's rows their history over the panel's increments before s, in
-    one more."""
+    and write their history over W^1..W^{p-1} (none for p = 1) into the
+    panel's rows of W, in one matrix product.  Every block then adds to its
+    rows their history over the panel's increments before s, in one more
+    (empty at the panel's first block)."""
     problem, tmesh = state.problem, state.config.mesh
     N = tmesh.N
     stop = min(s + _BLOCK, N + 1)
@@ -244,10 +244,8 @@ def _open_block(state: SolverState, W: np.ndarray, s: int) -> None:
         for i, m in enumerate(ms):
             coeff[i, : m - 1] = state._cw.row(m) / tmesh.steps[: m - 1]
         state._coeff = coeff
-        if p > 1:
-            np.matmul(coeff[:, : p - 1], W[1:p], out=W[p : ms.stop])
-    else:
-        W[s:stop] += state._coeff[s - p : stop - p, p - 1 : s - 1] @ W[p:s]
+        np.matmul(coeff[:, : p - 1], W[1:p], out=W[p : ms.stop])
+    W[s:stop] += state._coeff[s - p : stop - p, p - 1 : s - 1] @ W[p:s]
 
 
 def step(state: SolverState) -> SolverState:

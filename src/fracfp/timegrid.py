@@ -70,13 +70,3 @@ def step_condition_failure(
     lhs = 8.0 * w(mesh.nodes[1:]) * w(mesh.steps) * (2.0 * c0 ** 2 / kappa_min + 1.0) ** 2
     bad = np.flatnonzero(~(lhs <= 1.0))
     return (int(bad[0]) + 1, float(lhs.max())) if bad.size else None
-
-
-def check_step_assumption(
-    mesh: GradedMesh, alpha: float, c0: float, kappa_min: float
-) -> bool:
-    """Stability step-size diagnostic for the fractional scheme: whether
-    every step meets the condition of step_condition_failure.  Advisory
-    only: callers warn rather than abort when it fails.
-    """
-    return step_condition_failure(mesh, alpha, c0, kappa_min) is None

@@ -537,6 +537,19 @@ def test_ml_truncated_sum_meets_integral_at_switch(mu, beta, side):
     np.testing.assert_allclose(far, kernels._hankel_integral(mu, beta, z), rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("mu, beta, z", [(0.9, 0.901, 34.7), (0.864, 0.865, 30.2), (0.9, 0.9001, 25.4)])
+def test_ml_quadrature_beta_just_above_mu_meets_stated_bound(mu, beta, z):
+    # the module docstring's bound for mu < beta < mu + 0.03, mu <= 0.9:
+    # _de_rule takes K = 0, so the integral carries the whole value, good to
+    # a few 1e-16 in z E and about 5e-14 relative (measured 3.4e-14,
+    # 2.7e-14 and 1.2e-14 at these points, just below the switch)
+    assert kernels._de_rule(mu, beta)[0] == 0
+    assert z < _far_switch(mu, beta)
+    got, want = mittag_leffler(mu, beta, -z), ml_oracle(mu, beta, z)
+    assert abs(got - want) * z <= 1e-15
+    assert abs(got - want) <= 5e-14 * abs(want)
+
+
 def test_ml_truncated_sum_is_independent_of_its_batch():
     # a point that skips the integral gets the same bits alone and among
     # 2000 points of every route

@@ -21,7 +21,6 @@ from fracfp import (
     assemble_mass,
     assemble_source,
     build_mesh,
-    check_step_assumption,
     example1,
     example2,
     load_vector,
@@ -35,6 +34,7 @@ from fracfp import (
 from fracfp import kernels, problems, stepper
 from fracfp.fem1d import dof_slice, load_from_values
 from fracfp.stepper import _BLOCK, _PANEL
+from fracfp.timegrid import step_condition_failure
 from oracles import cn_reference, direct_l1_solve, source_integral_oracle, source_integral_singular
 
 
@@ -529,7 +529,7 @@ def test_step_size_warning_checks_the_solves_own_samples(bound):
     lo, hi = 0.0, 10.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if check_step_assumption(tmesh, alpha, mid, kmin) else (lo, mid)
+        lo, hi = (mid, hi) if step_condition_failure(tmesh, alpha, mid, kmin) is None else (lo, mid)
     # F = s t x peaks at x = 1, a node, and on gauss2 at max(gauss2) < 1;
     # "between" passes the condition on gauss2 and would fail it on the nodes
     g = space.gauss2.max()
@@ -541,10 +541,10 @@ def test_step_size_warning_checks_the_solves_own_samples(bound):
         warnings.simplefilter("always")
         solve(prob, SolverConfig(alpha=alpha, mesh=tmesh, spatial=space))
     warned = any("time mesh violates" in str(w.message) for w in caught)
-    assert warned == (not check_step_assumption(tmesh, alpha, c0, kmin))
+    assert warned == (step_condition_failure(tmesh, alpha, c0, kmin) is not None)
     assert warned == (bound == "high")
     if bound == "between":
-        assert not check_step_assumption(tmesh, alpha, s, kmin)
+        assert step_condition_failure(tmesh, alpha, s, kmin) is not None
 
 
 def test_step_size_warning_names_the_first_failing_step():
@@ -714,9 +714,14 @@ def test_problem_rejects_nonintegrable_rho_when_built():
     {"domain": (-math.inf, 1.0)},
     {"default_projection": "spline"},
     {"f": lambda x, t: np.ones_like(x), "f_regular": lambda x, t: np.ones_like(x)},
+    {"rho": math.inf, "f": lambda x, t: np.ones_like(x)},
+    {"rho": math.nan, "f": lambda x, t: np.ones_like(x)},
+    {"rho": math.inf},
+    {"rho": math.nan},
 ], ids=["bc-string", "alpha-zero", "alpha-above-one", "T-zero", "T-infinite", "domain-empty",
         "domain-reversed", "domain-end-infinite", "domain-start-infinite", "projection",
-        "f-and-f_regular"])
+        "f-and-f_regular", "rho-infinite", "rho-nan", "rho-infinite-sourceless",
+        "rho-nan-sourceless"])
 def test_problem_rejects_inconsistent_inputs_when_built(bad):
     with pytest.raises((TypeError, ValueError)):
         make_problem(**bad)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfp import GradedMesh, build_mesh, check_step_assumption
+from fracfp import GradedMesh, build_mesh
+from fracfp.timegrid import step_condition_failure
 
 
 def test_nodes_closed_form():
@@ -110,10 +111,10 @@ def test_step_assumption_scales():
     # shrinking T (hence every step) must eventually satisfy the bound,
     # and a huge drift constant must break it
     mesh_small = build_mesh(1e-4, 32, 2.0)
-    assert check_step_assumption(mesh_small, 0.6, 1.0, 1.0)
+    assert step_condition_failure(mesh_small, 0.6, 1.0, 1.0) is None
     mesh_big = build_mesh(10.0, 4, 1.0)
-    assert not check_step_assumption(mesh_big, 0.6, 1.0, 1.0)
-    assert not check_step_assumption(mesh_small, 0.6, 1e6, 1.0)
+    assert step_condition_failure(mesh_big, 0.6, 1.0, 1.0) is not None
+    assert step_condition_failure(mesh_small, 0.6, 1e6, 1.0) is not None
 
 
 def test_step_assumption_formula():
@@ -125,12 +126,12 @@ def test_step_assumption_formula():
         8.0 * w(tn) * w(dt) * (2.0 * c0 ** 2 / kmin + 1.0) ** 2
         for tn, dt in zip(mesh.nodes[1:], mesh.steps)
     ]
-    assert check_step_assumption(mesh, alpha, c0, kmin) == (max(lhs) <= 1.0)
+    assert (step_condition_failure(mesh, alpha, c0, kmin) is None) == (max(lhs) <= 1.0)
 
 
 def test_step_assumption_validation():
     mesh = build_mesh(1.0, 4, 1.0)
     with pytest.raises(ValueError):
-        check_step_assumption(mesh, 0.0, 1.0, 1.0)
+        step_condition_failure(mesh, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        check_step_assumption(mesh, 0.5, 1.0, 0.0)
+        step_condition_failure(mesh, 0.5, 1.0, 0.0)
