@@ -160,10 +160,7 @@ def assemble_mass(mesh: SpatialMesh, bc: BcMode) -> TriDiagMatrix:
 
 def _eval_on(fun, x: np.ndarray) -> np.ndarray:
     """Evaluate a pointwise callable, broadcasting scalar-valued results."""
-    vals = np.asarray(fun(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.broadcast_to(vals, x.shape)
-    return vals
+    return np.broadcast_to(np.asarray(fun(x), dtype=float), x.shape)
 
 
 def drift_band(mesh: SpatialMesh, bc: BcMode, values) -> TriDiagMatrix:

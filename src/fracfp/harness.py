@@ -79,8 +79,8 @@ def compute_errors(trajectory: Trajectory, problem: ProblemSpec):
                              f"returned shape {u.shape}, expected {block.shape + xs.shape}")
         diff = trajectory.values[s + 1:s + 1 + block.size] - u
         errs[s:s + block.size] = [l2_norm(row, space) for row in diff]
-    eps = float(errs.max()) if errs.size else 0.0
-    weps = float((times ** (problem.alpha / 4.0) * errs).max()) if errs.size else 0.0
+    eps = float(errs.max(initial=0.0))
+    weps = float((times ** (problem.alpha / 4.0) * errs).max(initial=0.0))
     return eps, weps, ErrorTrace(times=times.copy(), errors=errs)
 
 

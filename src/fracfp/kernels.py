@@ -4,7 +4,7 @@ Everything here lives on the negative real axis (Mittag-Leffler part) or on a
 graded mesh (quadrature weights), which is all the solver needs.  The hot
 paths are vectorized numpy.  omega_increment is one nested closed form that
 never subtracts nearly equal powers.  mittag_leffler has four routes: exp for
-mu = beta = 1; otherwise a Taylor sum for 0 < -x <= 1 and, above it, the
+mu = beta = 1; otherwise a Taylor sum for 0 <= -x <= 1 and, above it, the
 Hankel-integral representation, an algebraic expansion in 1/z plus a
 remainder integral.  The remainder after K terms is at most
 Gamma(p+1)/(pi m_mu z**(K+1)), p = mu (K+1) - beta, with m_mu = 1 for
@@ -14,16 +14,13 @@ point takes one fixed double-exponential quadrature of the integral, and so
 does mu = 1 with beta != 1, where m_mu = 0.
 
 Accuracy, against an extended-precision oracle from z = 1 to the switch,
-for mu in [0.1, 0.99]: about 1e-14 relative (worst 1.1e-14, at mu = beta =
-0.99) for beta = mu and beta >= mu + 0.03.  Below mu, E may change sign,
-and near its zeros no relative bound holds.  For mu < beta < mu + 0.03 it
-is worse: _de_rule takes K = 0 there, so the quadrature carries the whole
-value c1/z + c2/z**2 + ... with c1 = 1/Gamma(beta - mu) near 0.  Its
-absolute error in z E stays at a few 1e-16, as elsewhere, but z E falls
-toward c1 as z grows, and the relative error reaches about 5e-14 for
-mu <= 0.9, 1.2e-13 for mu <= 0.98 and 6e-13 at mu = 0.99.  Nearer mu = 1
-with beta in {1, mu} the value is about (1 - mu)/z, so the relative error
-grows like 1e-16/(1 - mu) while the absolute error stays near 1e-16.
+for mu in [0.1, 0.99] and beta >= mu: about 1e-14 relative (worst 1.2e-14,
+at mu = beta = 0.99).  _de_rule moves a next term whose coefficient
+1/Gamma(beta - mu (K+1)) is below 0.01, as for beta at or a little above
+mu, out of the quadrature and into the expansion.  Below mu, E may change
+sign, and near its zeros no relative bound holds.  Nearer mu = 1 with beta
+in {1, mu} the value is about (1 - mu)/z, so the relative error grows like
+1e-16/(1 - mu) while the absolute error stays near 1e-16.
 """
 
 from __future__ import annotations
@@ -70,8 +67,7 @@ def omega(beta: float, t):
     if beta < 1.0 and np.any(arr == 0.0):
         raise ValueError("omega_beta(0) is singular for beta < 1")
     # 0**0 == 1 and 0**positive == 0 in numpy, which matches the limits.
-    out = arr ** (beta - 1.0) * rgamma(beta)
-    return float(out[()]) if arr.ndim == 0 else out
+    return (arr ** (beta - 1.0) * rgamma(beta))[()]
 
 
 def omega_increment(beta: float, a, b):
@@ -85,27 +81,23 @@ def omega_increment(beta: float, a, b):
     """
     if beta <= 0.0:
         raise ValueError(f"omega_increment requires beta > 0, got {beta}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scalar = a.ndim == 0 and b.ndim == 0
-    a, b = np.atleast_1d(a), np.atleast_1d(b)
-    a, b = np.broadcast_arrays(a, b)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.any(a < 0.0) or np.any(b < a):
         raise ValueError("omega_increment requires 0 <= a <= b")
     if beta < 1.0 and np.any(a == 0.0):
         raise ValueError("omega_increment at a = 0 needs beta >= 1")
 
     if beta == 1.0:
-        return 0.0 if scalar else np.zeros(a.shape)
+        return np.zeros(a.shape)[()]
     e = beta - 1.0
-    out = b**e * rgamma(beta)  # omega_beta(0) = 0 for beta > 1
+    out = np.asarray(b**e * rgamma(beta))  # omega_beta(0) = 0 for beta > 1
     pos = a > 0.0
     ap, bp = a[pos], b[pos]
     with np.errstate(over="ignore"):
         lr = np.log1p((bp - ap) / ap)  # log(b/a)
     lr = np.where(np.isinf(lr), np.log(bp) - np.log(ap), lr)
     out[pos] = (out[pos] if e > 0.0 else -(ap**e) * rgamma(beta)) * -np.expm1(-abs(e) * lr)
-    return float(out[0]) if scalar else out
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -216,8 +208,9 @@ _FAR_KMAX = 32
 
 
 def _ml_taylor(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Plain Taylor sum of E_{mu,beta}(-z) for 0 < z <= 1."""
-    lnz = np.log(z)
+    """Plain Taylor sum of E_{mu,beta}(-z) for 0 <= z <= 1."""
+    with np.errstate(divide="ignore"):  # z = 0 gives zero terms
+        lnz = np.log(z)
     total = np.full(z.shape, rgamma(beta))
     p0 = 1
     block = 32
@@ -227,7 +220,7 @@ def _ml_taylor(mu: float, beta: float, z: np.ndarray) -> np.ndarray:
         terms = np.exp(p[None, :] * lnz[:, None] - lg[None, :])
         signs = np.where(np.mod(p, 2.0) == 0.0, 1.0, -1.0)
         total += terms @ signs
-        if terms.max() < 1.0e-22:
+        if np.all(terms < 1.0e-22):
             return total
         p0 += block
     raise RuntimeError(f"Taylor sum failed to terminate at mu = {mu}")
@@ -249,11 +242,12 @@ def _de_rule(mu: float, beta: float):
     denominator coefficients a (per node) and b, and complex weights w that
     carry rho**p e**(-u), the Jacobian and every constant factor.
     """
-    # the smallest K with p + 1 >= _DE_P1; one more when the next term
-    # vanishes (beta - mu (K+1) a nonpositive integer, as for beta = mu),
-    # which the integral would otherwise cancel at large z
+    # the smallest K with p + 1 >= _DE_P1; one more when the next term is
+    # small or vanishes (beta - mu (K+1) near or at a nonpositive integer,
+    # as for beta at or a little above mu), which the integral would
+    # otherwise have to carry, or cancel, at large z
     K = max(0, math.ceil((beta - 1.0 + _DE_P1) / mu) - 1)
-    if rgamma(beta - mu * (K + 1)) == 0.0:
+    if abs(rgamma(beta - mu * (K + 1))) < 0.01:
         K += 1
     p = mu * (K + 1) - beta
     c = _expansion(mu, beta, K)
@@ -342,14 +336,14 @@ def mittag_leffler(mu: float, beta: float, x):
 
     Supported domain: 0 < mu <= 1, beta > 0, x <= 0 (-inf gives 0; NaN
     raises).  Each point takes one of four routes: exp(-z) when mu = beta
-    = 1; otherwise a Taylor sum for z = -x <= 1 and, above it, _ml_hankel:
+    = 1; otherwise a Taylor sum for z = -x <= 1 (z = 0 included, where it
+    is exactly 1/Gamma(beta)) and, above it, _ml_hankel:
     the first K_f = _FAR_KMAX terms of the algebraic expansion in 1/z,
     where the Hankel remainder's bound Gamma(p_f+1)/(pi m_mu z**(K_f+1))
     (m_mu = 1 for mu <= 1/2, sin(pi mu) above) is at most 2**-54 of their
     sum, and the remainder integral by quadrature at every other point and
     always for mu = 1 (m_mu = 0).  The module docstring states the accuracy:
-    about 1e-14 relative for mu <= 0.99, worse for beta a little above mu
-    and nearer mu = 1.
+    about 1e-14 relative for mu <= 0.99 and beta >= mu, worse nearer mu = 1.
     """
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mittag_leffler requires 0 < mu <= 1, got mu = {mu}")
@@ -364,18 +358,10 @@ def mittag_leffler(mu: float, beta: float, x):
     if mu == 1.0 and beta == 1.0:
         out[:] = np.exp(-z)
     else:
-        zero = z == 0.0
-        out[zero] = rgamma(beta)
-        small = ~zero & (z <= 1.0)
-        if small.any():
-            out[small] = _ml_taylor(mu, beta, z[small])
-        big = ~zero & ~small
-        if big.any():
-            out[big] = _ml_hankel(mu, beta, z[big])
-
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+        small = z <= 1.0
+        out[small] = _ml_taylor(mu, beta, z[small])
+        out[~small] = _ml_hankel(mu, beta, z[~small])
+    return out.reshape(arr.shape)[()]
 
 
 def interp_probe(nu: float, alpha: float, mesh: GradedMesh) -> float:

@@ -115,7 +115,7 @@ def _lattice(x: np.ndarray):
     """
     if not np.isfinite(x).all():
         return None
-    d = np.abs(x[1:9] - x[0])
+    d = np.abs(x[1:9] - x[:1])
     inv = 1.0 / d[d > 0.0]
     cand = np.rint(inv)
     for L in np.unique(cand[(np.abs(inv - cand) <= 1e-6 * inv) & (cand >= 1) & (cand <= x.size)])[::-1]:
@@ -182,7 +182,7 @@ def _mode_sum(grid: _Grid, weights: np.ndarray) -> np.ndarray:
             * np.exp(2j * math.pi * np.multiply.outer(c, np.arange(L)) / L)
         out += L * (phase * np.fft.ifft(spec, axis=-1)[..., cls, jmod]).imag
     elif count > head:
-        chunk = max(1, _MODE_BUF // grid.flat.size)
+        chunk = max(1, _MODE_BUF // max(1, grid.flat.size))
         block = np.empty((min(chunk, count - head), grid.flat.size))
         for m0 in range(head, count, chunk):
             rows = block[: min(chunk, count - m0)]
@@ -245,18 +245,14 @@ class SineSeries:
         return P.polyval(np.minimum(x, 1.0 - x), self.prims[k])
 
     def u0(self, x):
-        arr = np.asarray(x, dtype=float)
-        vals = self.eval_P(0, arr.ravel() if arr.ndim else arr.reshape(1))
-        return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+        return self.eval_P(0, np.asarray(x, dtype=float))
 
     def u0_prime(self, x):
         """x-derivative of u0 (one-sided at the symmetry point)."""
         arr = np.asarray(x, dtype=float)
-        flat = arr.ravel() if arr.ndim else arr.reshape(1)
         dq = P.polyder(self.prims[0])
-        vals = np.where(flat <= 0.5, P.polyval(np.minimum(flat, 0.5), dq),
-                        -P.polyval(1.0 - np.maximum(flat, 0.5), dq))
-        return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
+        return np.where(arr <= 0.5, P.polyval(np.minimum(arr, 0.5), dq),
+                        -P.polyval(1.0 - np.maximum(arr, 0.5), dq))[()]
 
 
 def _pi_pow(e: np.ndarray) -> np.ndarray:
@@ -355,13 +351,12 @@ def _eval_rows(series: SineSeries, kind: str, grid: _Grid, t: np.ndarray, fold: 
     beta = 1.0 if kind == "u" else series.alpha
     rgs = series.consts[beta][1]
     pos = t > 0.0
-    tmin = np.where(pos, t, math.inf).min(axis=1)
+    tmin = t.min(axis=1, where=pos, initial=math.inf)
     live = tmin < math.inf
     M = np.full(R, -1)
     kept = np.zeros((R, len(rgs)), dtype=bool)
-    if live.any():
-        M[live], kept[live] = _choose_mk(series, beta, tmin[live])
-    m = np.arange(M.max() + 1)
+    M[live], kept[live] = _choose_mk(series, beta, tmin[live])
+    m = np.arange(M.max(initial=-1) + 1)
     lam = (2.0 * m + 1.0) * math.pi
     c = series.coeffs(m)
 
@@ -379,19 +374,18 @@ def _eval_rows(series: SineSeries, kind: str, grid: _Grid, t: np.ndarray, fold: 
     out, gaps = (part[:, :head] @ grid.sin[:head] for part in np.split(weights, [K * R]))
     out[past[:K * R]], gaps[past[K * R:]] = np.split(tails, [np.count_nonzero(past[:K * R])])
     del tails
-    out = out.reshape(K, R, -1)
-    if pairs.size:
-        for gap, k in zip(gaps, pairs[:, 0]):
-            gap -= grid.P[k]  # partial - P_k, so its term is subtracted
-        sign_rg = np.array([rgs[k] if k % 2 == 1 else -rgs[k] for k in range(len(rgs))])
-        with np.errstate(divide="ignore"):  # t = 0 entries are masked
-            tk = np.where(pos[r_of], t[r_of] ** (-series.alpha * k_of[:, None]), 0.0)
-        coef = np.zeros((K, R, len(pairs)))
-        coef[:, r_of, pair_of.reshape(-1)] = np.einsum("kiq,iq->ki", fold[:, r_of], sign_rg[k_of, None] * tk)
-        # a few rows at a time, so that the product's buffer stays small
-        flat, coef = out.reshape(K * R, -1), coef.reshape(K * R, -1)
-        for i in range(0, K * R, 8):
-            flat[i:i + 8] -= coef[i:i + 8] @ gaps
+    out = out.reshape(K, R, grid.flat.size)
+    for gap, k in zip(gaps, pairs[:, 0]):
+        gap -= grid.P[k]  # partial - P_k, so its term is subtracted
+    sign_rg = np.array([rgs[k] if k % 2 == 1 else -rgs[k] for k in range(len(rgs))])
+    with np.errstate(divide="ignore"):  # t = 0 entries are masked
+        tk = np.where(pos[r_of], t[r_of] ** (-series.alpha * k_of[:, None]), 0.0)
+    coef = np.zeros((K, R, len(pairs)))
+    coef[:, r_of, pair_of.reshape(-1)] = np.einsum("kiq,iq->ki", fold[:, r_of], sign_rg[k_of, None] * tk)
+    # a few rows at a time, so that the product's buffer stays small
+    flat, coef = out.reshape(K * R, grid.flat.size), coef.reshape(K * R, len(pairs))
+    for i in range(0, K * R, 8):
+        flat[i:i + 8] -= coef[i:i + 8] @ gaps
     if not pos.all():
         # E(0) = 1/Gamma(beta) = rgs[0] mode-independently, so P_0 applies
         out += np.multiply.outer(np.where(pos, 0.0, fold).sum(axis=-1) * rgs[0], grid.P[0])
@@ -406,12 +400,11 @@ def _time_rows(series: SineSeries, beta: float, t: np.ndarray, fold: np.ndarray,
     K, R, Q = fold.shape
     pos = t > 0.0
     cE = np.zeros((R, Q, lam.size))
-    if pos.any():
-        counts = np.broadcast_to(M[:, None] + 1, t.shape)[pos]
-        mode = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        z = np.repeat(t[pos] ** series.alpha, counts) * (lam * lam)[mode]
-        E = mittag_leffler(series.alpha, beta, -z)
-        cE.reshape(-1)[np.repeat(np.flatnonzero(pos) * lam.size, counts) + mode] = c[mode] * E
+    counts = np.broadcast_to(M[:, None] + 1, t.shape)[pos]
+    mode = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    z = np.repeat(t[pos] ** series.alpha, counts) * (lam * lam)[mode]
+    E = mittag_leffler(series.alpha, beta, -z)
+    cE.reshape(-1)[np.repeat(np.flatnonzero(pos) * lam.size, counts) + mode] = c[mode] * E
     return (fold.transpose(1, 0, 2) @ cE).transpose(1, 0, 2).reshape(K * R, lam.size)
 
 
@@ -525,7 +518,7 @@ def _series_problem(name: str, series: SineSeries, default_projection: str) -> P
         ts = _times(t)
         u = _eval_rows(series, "u", grid, ts.reshape(-1, 1), np.ones((1, ts.size, 1)))[0]
         shape = ts.shape + grid.x.shape
-        return float(u[0, 0]) if shape == () else u.reshape(shape)
+        return u.reshape(shape)[()]
 
     exact.alpha = alpha  # functools.wraps copies it to a wrapper
     return ProblemSpec(

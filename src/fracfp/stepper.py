@@ -103,7 +103,7 @@ class SolverState:
     at the unknowns (updated in place), increments, the mass matrix, K and
     the diffusion floor (from one kappa sample on SpatialMesh.gauss2, which
     the ritz projection of U^0 reuses through K), the weights, the drift at
-    t_n on gauss2 (None without drift) and the open panel and block (None
+    t_n on gauss2 (0.0 without drift) and the open panel and block (None
     before the first step).  Compares by identity.
 
     W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
@@ -161,7 +161,7 @@ class SolverState:
         self.W[0] = U0_full
         self.n, self.U_dof = 0, to_dof(U0_full, bc)
         self._cw = ConvolutionWeights(config.mesh, config.alpha)
-        self._drift = None if problem.drift is None else problem.drift(space.gauss2, config.mesh.nodes[0])
+        self._drift = 0.0 if problem.drift is None else problem.drift(space.gauss2, config.mesh.nodes[0])
 
 
 def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
@@ -279,7 +279,7 @@ def step(state: SolverState) -> SolverState:
     t1 = tmesh.nodes[n]
 
     bc = problem.bc
-    G, F, drift = state._K, problem.drift, None
+    G, F, drift = state._K, problem.drift, 0.0
     if F is not None:
         drift = F(space.gauss2, t1)
         G = G.plus_scaled(drift_band(space, bc, state._drift + drift), 0.5)
@@ -323,12 +323,10 @@ def solve(problem, config: SolverConfig) -> Trajectory:
     it with warnings.filterwarnings("ignore", "time mesh violates").
     """
     state = SolverState(problem, config)
-    drift = problem.drift is not None
-    c0 = float(np.abs(state._drift).max()) if drift else 0.0
+    c0 = float(np.abs(state._drift).max())
     for _ in range(config.mesh.N):
         step(state)
-        if drift:
-            c0 = max(c0, float(np.abs(state._drift).max()))
+        c0 = max(c0, float(np.abs(state._drift).max()))
     failure = step_condition_failure(config.mesh, config.alpha, c0, state._kappa_min)
     if failure is not None:
         n, lhs_max = failure

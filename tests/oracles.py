@@ -29,9 +29,12 @@ def ml_oracle(mu: float, beta: float, x: float) -> float:
     mpf arithmetic: mu*k + beta rounded in float64 would shift the poles
     enough to destroy the cancellation this series relies on.
 
-    Not covered: at mu = 0.02 the asymptotic sum fails to settle
-    (RuntimeError) in the band 1.10 <= x <= 1.23, where x**(1/mu) runs from
-    the branch point 95 to about 3e4; no test point lies there.
+    Just above the branch point x**(1/mu) = 95 the asymptotic sum needs
+    up to a few thousand terms at small mu, and it raises RuntimeError if
+    4000 do not settle it.  Not covered: mu = 0.02 settles from x = 1.10
+    to 1.23 (x**(1/mu) from 95 to about 3e4), but only x = 1.1 has been
+    checked against a forced Taylor sum; near 1.23 that sum would need
+    about 15,000 digits.  Smaller mu is untried.
     """
     if x < 0:
         raise ValueError("oracle covers the negative real axis only, pass x >= 0")
@@ -76,7 +79,7 @@ def ml_oracle(mu: float, beta: float, x: float) -> float:
         floor = mp.mpf(10) ** (-32)
         acc = mp.mpf(0)
         prev_env = mp.inf
-        for k in range(1, 400):
+        for k in range(1, 4000):
             acc -= (-mx) ** (-k) * mp.rgamma(mbeta - mmu * k)
             if mmu * k + 1 - mbeta <= 0:
                 continue

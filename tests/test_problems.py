@@ -76,6 +76,24 @@ def test_u0_helpers():
     assert p2.u0_prime(np.array([0.8]))[0] == -1.0
 
 
+@pytest.mark.parametrize("make", [example1, example2])
+def test_initial_data_and_exact_take_0d_and_empty_inputs(make):
+    # a 0-d input gives a float, bit for bit the one-element array's entry,
+    # and an empty array gives an empty array of its shape
+    prob = make(0.6)
+    fns = [prob.u0, prob.u0_prime] + [functools.partial(prob.exact, t=t) for t in (0.0, 1e-6, 0.4)] \
+        + [functools.partial(prob.exact, 0.3)]
+    for fn in fns:
+        for v in (0.0, 0.3, 0.5, 0.8):
+            got, one = fn(v), fn(np.array([v]))
+            assert isinstance(got, float)
+            assert one.shape == (1,) and np.float64(got).tobytes() == one.tobytes()
+        for shape in [(0,), (2, 0)]:
+            assert fn(np.empty(shape)).shape == shape
+    x = np.linspace(0.0, 1.0, 5)
+    assert prob.exact(x, np.empty(0)).shape == (0, x.size)
+
+
 def test_symmetry_of_solutions():
     # every retained mode is an odd harmonic, so u is symmetric about 1/2
     x = np.linspace(0.05, 0.45, 9)
