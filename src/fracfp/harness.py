@@ -192,7 +192,8 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
 
     Each problem is solved on `elements` uniform elements over its own
     domain; rows whose problem cannot be built or meshed carry the h of the
-    unit interval.  projection, when given, replaces the problem's
+    unit interval and the caller's name for it (the string, or the
+    factory's __name__).  projection, when given, replaces the problem's
     default_projection for every solve (the exact solution does not depend
     on it); the boundary condition is always the problem's own, the one its
     exact solution solves.  A row's rate compares it with the (alpha, gamma,
@@ -206,21 +207,20 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
     report = ConvergenceReport()
     unit_h = uniform_mesh(0.0, 1.0, elements).h
     for alpha in sorted(alphas):
+        name, h, failed = pname, unit_h, None
         try:
             prob = factory(alpha)
             prob = replace(prob, default_projection=projection or prob.default_projection)
             space = uniform_mesh(*prob.domain, elements)
+            name, h = prob.name, space.h
         except Exception as exc:  # noqa: BLE001 - report, don't abort the study
-            for gamma in sorted(gammas):
-                for N in sorted(Ns):
-                    report.rows.append(StudyRow(problem=pname, alpha=alpha, gamma=gamma,
-                                                N=N, h=unit_h,
-                                                error=f"{type(exc).__name__}: {exc}"))
-            continue
-        pname = prob.name
+            failed = f"{type(exc).__name__}: {exc}"
         for gamma in sorted(gammas):
             for N in sorted(Ns):
-                row = StudyRow(problem=pname, alpha=alpha, gamma=gamma, N=N, h=space.h)
+                row = StudyRow(problem=name, alpha=alpha, gamma=gamma, N=N, h=h, error=failed)
+                report.rows.append(row)
+                if failed is not None:
+                    continue
                 start = time.perf_counter()
                 try:
                     tmesh = build_mesh(prob.T, N, gamma)
@@ -232,12 +232,11 @@ def run_study(problem: Union[str, Callable[[float], ProblemSpec]],
                 except Exception as exc:  # noqa: BLE001 - a row failure must not kill the study
                     row.error = f"{type(exc).__name__}: {exc}"
                 row.seconds = time.perf_counter() - start
-                report.rows.append(row)
     for r in report.rows:
-        if r.error is not None or r.eps is None:
+        if r.error is not None:
             continue
         fine = report.find(r.alpha, r.gamma, 2 * r.N)
-        if fine is not None and fine.error is None and fine.eps:
+        if fine is not None and fine.error is None:
             if r.eps > 0.0 and fine.eps > 0.0:
                 r.eps_rate = compute_rate(r.eps, fine.eps)
             if r.weps > 0.0 and fine.weps > 0.0:

@@ -47,11 +47,6 @@ __all__ = [
 _FAR_RATIO = 100.0
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-
-
 def omega(beta: float, t):
     """Kernel omega_beta(t) = t**(beta-1) / Gamma(beta) for t >= 0.
 
@@ -113,7 +108,8 @@ class ConvolutionWeights:
     _far: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         alpha, t, tau = self.alpha, self.mesh.nodes, self.mesh.steps
         object.__setattr__(self, "_w0", omega_increment(alpha + 1.0, t[:-1], t[1:]))
         object.__setattr__(self, "_d", tau**alpha * rgamma(alpha + 2.0))
@@ -173,7 +169,8 @@ class ConvolutionWeights:
         return w
 
     def w0(self, n: int) -> float:
-        """Initial-data weight omega_{alpha+1}(t_n) - omega_{alpha+1}(t_{n-1})."""
+        """Initial-data weight omega_{alpha+1}(t_n) - omega_{alpha+1}(t_{n-1}):
+        the coefficient of W^0 = U^0 in step n's history."""
         self._check_n(n)
         return float(self._w0[n - 1])
 
@@ -375,7 +372,7 @@ def interp_probe(nu: float, alpha: float, mesh: GradedMesh) -> float:
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"interp_probe requires 0 < nu <= 1, got nu = {nu}")
-    _check_alpha(alpha)
+    cw = ConvolutionWeights(mesh, alpha)  # raises for alpha outside (0, 1]
     t = mesh.nodes
     tau = mesh.steps
     gnu = math.gamma(nu + 1.0)
@@ -383,7 +380,6 @@ def interp_probe(nu: float, alpha: float, mesh: GradedMesh) -> float:
     A = gnu * omega_increment(nu + alpha + 1.0, t[:-1], t[1:])
     dg = gnu * omega_increment(nu + 1.0, t[:-1], t[1:])
     dref = dg / tau
-    cw = ConvolutionWeights(mesh, alpha)
 
     total = 0.0
     for j in range(1, mesh.N + 1):

@@ -15,10 +15,10 @@ fixed truncation cannot serve both t = O(1) and the t_1 ~ 1e-12 values of
 strongly graded meshes, so the evaluator picks the truncation M and the
 tail-correction orders from analytic bounds (see _choose_mk) that keep
 everything dropped below _TAIL_TOL = 1e-9 absolute.  One evaluation
-(_eval_rows) serves many rows: the time levels of exact, or the steps of a
-block, each step's Gauss times folded (see _SeriesFlux).  Every row takes
-its own M and corrections at its smallest time, as if evaluated alone, and
-the evaluation makes one Mittag-Leffler call for all of them.  The rows'
+(_eval_rows) serves many rows: the times of exact or flux_regular, or the
+steps of a block, each step's Gauss times folded (see _SeriesFlux).  A row
+takes the M and corrections of its smallest time (flux_regular: the call's)
+as if evaluated alone; one Mittag-Leffler call serves all rows.  The rows'
 modes within a grid's sine rows are summed by one product with those rows;
 the rare rows past them (the first steps of graded meshes) go by FFT on
 lattice grids, such as every grid the solver builds (see _mode_sum).  The
@@ -327,15 +327,15 @@ def _times(t) -> np.ndarray:
     return ts
 
 
-def _eval_rows(series: SineSeries, kind: str, grid: _Grid, t: np.ndarray, fold: np.ndarray):
+def _eval_rows(series: SineSeries, kind: str, grid: _Grid, t: np.ndarray, fold: np.ndarray, tmin=None):
     """Folded u / V series of one SineSeries on a grid's points, row by row.
 
     kind "u" pairs sin modes with E_{alpha,1}; "v" uses E_{alpha,alpha}.  t
     is (R, Q), finite and >= 0, and fold (K, R, Q); the result, (K, R,
     points), is sum_q fold[k, r, q] series(x, t[r, q]).  Row r takes its own
-    truncation M_r and correction terms, from _choose_mk at its smallest
-    positive time (the bounds only improve with t), so a row is the
-    evaluation of its times alone.
+    truncation M_r and correction terms, from _choose_mk at tmin[r], by
+    default its smallest positive time (inf, and no modes, for none); the
+    bounds only improve with t, so a row is the evaluation of its times alone.
 
     One Mittag-Leffler call serves every (r, q, m <= M_r).  The folded time
     rows (weights zero past M_r) and one row c_m lam_m**(-2k), m <= M, per
@@ -351,7 +351,7 @@ def _eval_rows(series: SineSeries, kind: str, grid: _Grid, t: np.ndarray, fold: 
     beta = 1.0 if kind == "u" else series.alpha
     rgs = series.consts[beta][1]
     pos = t > 0.0
-    tmin = t.min(axis=1, where=pos, initial=math.inf)
+    tmin = t.min(axis=1, where=pos, initial=math.inf) if tmin is None else tmin
     live = tmin < math.inf
     M = np.full(R, -1)
     kept = np.zeros((R, len(rgs)), dtype=bool)
@@ -493,9 +493,10 @@ class _SeriesFlux:
     def __call__(self, x, t):
         grid = _find_grid(self.grids, x, self.series)
         ts = _times(t)
-        # one row with an identity fold, truncated at its smallest time: the
-        # batch time_fold evaluates for the same interval
-        v = _eval_rows(self.series, "v", grid, ts.reshape(1, -1), np.eye(ts.size)[:, None, :])[:, 0]
+        # one row per time, all truncated at the smallest positive time, as
+        # the row time_fold evaluates for the same interval
+        tmin = np.full(ts.size, ts.min(where=ts > 0.0, initial=math.inf))
+        v = _eval_rows(self.series, "v", grid, ts.reshape(-1, 1), np.ones((1, ts.size, 1)), tmin)[0]
         return (np.sin(ts).reshape(ts.shape + (1,) * grid.x.ndim) - grid.x) * v.reshape(ts.shape + grid.x.shape)
 
     def time_fold(self, x, t, w):

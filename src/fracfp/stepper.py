@@ -5,7 +5,8 @@ add the drift band of the midpoint-averaged drift to the kappa stiffness,
 form S^n = M + (tau_n^alpha/Gamma(alpha+2)) G^n, accumulate the
 convolution history of increments, solve the tridiagonal system, advance.
 
-The history sum is exact and split three ways (see step).  A panel of
+The history sum, over U^0 as the zeroth increment W^0 and the
+increments after it, is exact and split three ways (see step).  A panel of
 _PANEL steps sums its history over every increment stored before it in
 one matrix product, so the stored increments are read once per panel;
 each block of _BLOCK steps inside the panel adds its history over the
@@ -107,15 +108,15 @@ class SolverState:
     before the first step).  Compares by identity.
 
     W is the one (N+1) x (M_x+1) buffer of the solve: row 0 holds the full
-    nodal U^0 and row n, once step n has run, the increment
-    W^n = U^n - U^(n-1) at the unknowns (Dirichlet boundary columns stay
-    zero).  solve sums it in place into the trajectory U^0..U^N.  Until
-    step n runs, row n holds a partial history instead: with the open panel
-    p..p+_PANEL-1 and block s..s+_BLOCK-1, sum_{j<s} (w_{n,j}/tau_j) W^j
-    for the block's steps, sum_{j<p} (w_{n,j}/tau_j) W^j for the panel's
-    later steps, and zero past the panel.  _coeff[n-p, :n-1] are the
-    weights w_{n,j}/tau_j of the panel's steps, and _loads[n-s] is the load
-    f^n at the unknowns (_loads stays None for a sourceless problem).
+    nodal U^0, the zeroth increment W^0, and row n, once step n has run, the
+    increment W^n = U^n - U^(n-1) at the unknowns (Dirichlet boundary
+    columns stay zero).  solve sums it in place into the trajectory
+    U^0..U^N.  Until step n runs, row n holds a partial history instead:
+    with the open panel p..p+_PANEL-1 and block s..s+_BLOCK-1, the sum over
+    j < s of c_{n,j} W^j for the block's steps, over j < p for the panel's
+    later steps, and zero past the panel.  _coeff[n-p, :n] are the c_{n,j}
+    of the panel's steps (see step), and _loads[n-s] is the load f^n at
+    the unknowns (_loads stays None for a sourceless problem).
 
     Raises ValueError when config.alpha and problem.alpha differ (scheme,
     source and exact solution share one order), when the spatial mesh's
@@ -223,9 +224,9 @@ def assemble_source(problem, spatial: SpatialMesh, interval) -> np.ndarray:
 def _open_block(state: SolverState, W: np.ndarray, s: int) -> None:
     """Open the block of steps s..s+_BLOCK-1 (W: the increment buffer at the
     unknowns): assemble its loads in one assemble_source call.  At a
-    panel's first block, take the panel's weight rows (one row call each)
-    and write their history over W^1..W^{p-1} (none for p = 1) into the
-    panel's rows of W, in one matrix product.  Every block then adds to its
+    panel's first block, take the panel's coefficient rows (w0 and one row
+    call each) and write their history over W^0..W^{p-1} into the panel's
+    rows of W, in one matrix product.  Every block then adds to its
     rows their history over the panel's increments before s, in one more
     (empty at the panel's first block)."""
     problem, tmesh = state.problem, state.config.mesh
@@ -240,18 +241,19 @@ def _open_block(state: SolverState, W: np.ndarray, s: int) -> None:
     if p == s:
         state._coeff = None  # free the last panel's rows before the next ones
         ms = range(p, min(p + _PANEL, N + 1))
-        coeff = np.zeros((len(ms), p - 1 + len(ms)))
+        coeff = np.zeros((len(ms), p + len(ms)))
         for i, m in enumerate(ms):
-            coeff[i, : m - 1] = state._cw.row(m) / tmesh.steps[: m - 1]
+            coeff[i, 0] = state._cw.w0(m)
+            coeff[i, 1:m] = state._cw.row(m) / tmesh.steps[: m - 1]
         state._coeff = coeff
-        np.matmul(coeff[:, : p - 1], W[1:p], out=W[p : ms.stop])
-    W[s:stop] += state._coeff[s - p : stop - p, p - 1 : s - 1] @ W[p:s]
+        np.matmul(coeff[:, :p], W[:p], out=W[p : ms.stop])
+    W[s:stop] += state._coeff[s - p : stop - p, p:s] @ W[p:s]
 
 
 def step(state: SolverState) -> SolverState:
-    """Advance one time level: solve S^n W^n = f^n - w0(n) G^n U^0 - G^n H^n
-    with the history vector H^n = sum_{j<n} (w_{n,j}/tau_j) W^j, and store
-    W^n in row n of state.W.
+    """Advance one time level: solve S^n W^n = f^n - G^n H^n with the
+    history H^n = sum_{j=0}^{n-1} c_{n,j} W^j (W^0 = U^0, c_{n,0} = w0(n),
+    c_{n,j} = w_{n,j}/tau_j), and store W^n in row n of state.W.
 
     G^n is K plus the drift band of 0.5 (F(t_{n-1}) + F(t_n)), F sampled on
     SpatialMesh.gauss2; F(t_n) is kept for the next step (and for solve's
@@ -259,8 +261,8 @@ def step(state: SolverState) -> SolverState:
 
     H^n is exact and summed in three parts, each over the increments the
     last part left out.  The first step of each panel of _PANEL steps
-    takes the weight rows of all the panel's steps and sums their history
-    over the increments stored before the panel in one matrix product, so
+    takes the coefficient rows of all the panel's steps and sums their
+    history over the increments stored before the panel in one product, so
     the stored increments are read once per panel.  The first step of each
     block of _BLOCK steps inside it adds the history over the panel's
     increments before the block, in one product, and each step then adds
@@ -290,9 +292,8 @@ def step(state: SolverState) -> SolverState:
     if s == n:
         _open_block(state, W, s)
     # W[n] holds the history over the increments before the block
-    hist = state._coeff[(n - 1) % _PANEL, s - 1 : n - 1] @ W[s:n]
+    hist = state._coeff[(n - 1) % _PANEL, s:n] @ W[s:n]
     hist += W[n]
-    hist += state._cw.w0(n) * W[0]
 
     rhs = -G.matvec(hist)
     if state._loads is not None:
@@ -336,7 +337,7 @@ def solve(problem, config: SolverConfig) -> Trajectory:
             f"{lhs_max:.6g} > 1); the discrete stability bound is not guaranteed",
             stacklevel=2,
         )
-    # U^n = U^0 + W^1 + ... + W^n, added in step order; row 0 (full U^0) and
+    # U^n = W^0 + W^1 + ... + W^n, added in step order; row 0 (full U^0) and
     # the Dirichlet boundary columns (zero for n >= 1) are left as they are
     W = state.W[:, dof_slice(problem.bc)]
     np.cumsum(W, axis=0, out=W)

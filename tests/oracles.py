@@ -10,6 +10,7 @@ truncation from choose_mk_oracle, the scalar per-time form of the
 library's vectorized truncation choice, in plain float arithmetic.
 lattice_sum_oracle takes the lattice spacing and offsets the library found,
 to name the exact points it sums at, but sums by direct sines.
+make_problem is no reference at all: it builds the tests' plain ProblemSpec.
 """
 
 import math
@@ -448,3 +449,29 @@ def frac_integral_oracle(alpha: float, u_of_t, t: float, dps: int = 30) -> float
         kern = lambda s: (mt - s) ** (ma - 1) * mp.mpf(u_of_t(float(s)))
         val = mp.quad(kern, [0, mt / 2, mt]) / mp.gamma(ma)
         return float(val)
+
+
+def make_problem(**kw):
+    """A sourceless, driftless Dirichlet ProblemSpec on [0, 1] with zero
+    initial data at alpha = 0.6, T = 1 and nodal projection; keywords
+    replace any of its fields."""
+    from fracfp import BcMode, ProblemSpec
+
+    base = dict(
+        name="custom",
+        alpha=0.6,
+        domain=(0.0, 1.0),
+        T=1.0,
+        kappa=lambda x: 1.0,
+        drift=None,
+        f=None,
+        f_regular=None,
+        rho=0.0,
+        u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        u0_prime=None,
+        exact=None,
+        bc=BcMode.DIRICHLET,
+        default_projection="nodal",
+    )
+    base.update(kw)
+    return ProblemSpec(**base)

@@ -15,7 +15,6 @@ from scipy.special import erfcx
 from fracfp import (
     BcMode,
     ConvolutionWeights,
-    ProblemSpec,
     SolverConfig,
     assemble_mass,
     assemble_source,
@@ -30,7 +29,7 @@ from fracfp import (
     uniform_mesh,
 )
 
-from oracles import cn_reference, ml_oracle
+from oracles import cn_reference, make_problem, ml_oracle
 
 
 # --- reference data -------------------------------------------------------
@@ -60,27 +59,6 @@ REF_EX2_SPOTS = [(0.6, 3.3, 2.8e-06, 1.987), (0.4, 5.0, 3.1e-06, 1.958)]
 # alpha -> (eps at N = 128 with gamma = 2, rate over N = 64 -> 128 with gamma = 1)
 REF_EX1_ALPHA_TO_1 = {0.9: (1.069e-05, 1.112), 0.99: (9.844e-06, 1.242),
                       0.999: (9.804e-06, 1.253), 1.0: (9.801e-06, 1.254)}
-
-
-def make_problem(**kw):
-    base = dict(
-        name="custom",
-        alpha=0.6,
-        domain=(0.0, 1.0),
-        T=1.0,
-        kappa=lambda x: 1.0,
-        drift=None,
-        f=None,
-        f_regular=None,
-        rho=0.0,
-        u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        u0_prime=None,
-        exact=None,
-        bc=BcMode.DIRICHLET,
-        default_projection="nodal",
-    )
-    base.update(kw)
-    return ProblemSpec(**base)
 
 
 def drift_field(x, t):

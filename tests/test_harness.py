@@ -144,6 +144,23 @@ def test_run_study_records_failures():
     assert ",error,,,," in text
 
 
+def test_failed_build_row_takes_the_callers_name():
+    # the name of a row whose problem cannot be built does not depend on
+    # which other alphas built a problem first
+    def bad(alpha):
+        if alpha > 1.0:
+            raise ValueError("no problem at this alpha")
+        return dataclasses.replace(example1(alpha), name="mine")
+
+    alone = run_study(bad, [2.0], [1.0], [4], elements=20).find(2.0, 1.0, 4)
+    report = run_study(bad, [0.5, 2.0], [1.0], [4], elements=20)
+    after = report.find(2.0, 1.0, 4)
+    assert alone.problem == after.problem == "bad"
+    assert alone.error == after.error == "ValueError: no problem at this alpha"
+    assert alone.h == after.h == 1 / 20
+    assert report.find(0.5, 1.0, 4).problem == "mine"
+
+
 def test_run_study_records_non_integral_steps():
     # the row keeps the N it was given, and says why it has no errors
     report = run_study("ex1", [0.7], [1.0], [8.5, 16], elements=20)

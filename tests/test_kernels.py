@@ -644,3 +644,6 @@ def test_probe_validation():
         interp_probe(0.0, 0.5, mesh)
     with pytest.raises(ValueError):
         interp_probe(1.5, 0.5, mesh)
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            interp_probe(0.5, alpha, mesh)

@@ -149,6 +149,38 @@ def test_batched_time_matches_scalar_calls():
         np.testing.assert_allclose(batch[i], prob.flux_regular(x, float(t)), atol=3e-9)
 
 
+@pytest.mark.parametrize("make,alpha", [(example1, 0.7), (example2, 0.4), (example1, 1.0)])
+def test_flux_matches_one_row_identity_fold(make, alpha):
+    # flux_regular evaluates one row per time at the shared truncation of
+    # the smallest positive time; folding all the times into one row with
+    # an identity fold gives the same bits
+    prob = make(alpha)
+    x = np.linspace(0.0, 1.0, 201)
+    grid = problems._find_grid(prob.flux_regular.grids, x, prob.flux_regular.series)
+    for ts in (np.array([0.0, 1e-12, 1e-6, 0.3, 1.0]), np.geomspace(1e-9, 1.0, 40),
+               np.array([0.7]), np.zeros(2)):
+        v = problems._eval_rows(prob.flux_regular.series, "v", grid, ts.reshape(1, -1),
+                                np.eye(ts.size)[:, None, :])[:, 0]
+        want = (np.sin(ts)[:, None] - x) * v
+        np.testing.assert_array_equal(prob.flux_regular(x, ts), want)
+
+
+def test_flux_memory_is_linear_in_times():
+    # 2048 times on 201 points: one (2048, 201) result is 3.3 MB, where an
+    # identity fold over the times costs a (2048, 2048) block and more
+    prob = example2(0.4)
+    x = np.linspace(0.0, 1.0, 201)
+    ts = np.linspace(1e-3, 1.0, 2048)
+    prob.flux_regular(x, ts[:3])  # build the grid outside the measurement
+    tracemalloc.start()
+    try:
+        prob.flux_regular(x, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
+
+
 def test_flux_vanishes_at_ends():
     # no boundary term enters the load vector of the built-in sources
     x = np.array([0.0, 1.0])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from fracfp import (
     BcMode,
     ConvolutionWeights,
-    ProblemSpec,
     SolverConfig,
     SolverState,
     Trajectory,
@@ -35,28 +34,8 @@ from fracfp import kernels, problems, stepper
 from fracfp.fem1d import dof_slice, load_from_values
 from fracfp.stepper import _BLOCK, _PANEL
 from fracfp.timegrid import step_condition_failure
-from oracles import cn_reference, direct_l1_solve, source_integral_oracle, source_integral_singular
-
-
-def make_problem(**kw):
-    base = dict(
-        name="custom",
-        alpha=0.6,
-        domain=(0.0, 1.0),
-        T=1.0,
-        kappa=lambda x: 1.0,
-        drift=None,
-        f=None,
-        f_regular=None,
-        rho=0.0,
-        u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        u0_prime=None,
-        exact=None,
-        bc=BcMode.DIRICHLET,
-        default_projection="nodal",
-    )
-    base.update(kw)
-    return ProblemSpec(**base)
+from oracles import (cn_reference, direct_l1_solve, make_problem, source_integral_oracle,
+                     source_integral_singular)
 
 
 def test_zero_data_stays_zero():
